@@ -1,0 +1,199 @@
+"""Golden outputs: sha256 digests of every CSV the CLI writes, at small configs.
+
+Each case runs one subcommand with a fixed config and seed and compares the
+digest of every CSV it writes with the pinned value.  The per-particle random
+streams are pinned too, by their first draws on both spawn branches.  A
+refactor or speedup must leave all of them unchanged; a change that moves
+outputs on purpose updates the digests here and says why.
+
+The digests were taken with numpy 2.4.6, scipy 1.17.1 and Python 3.11.7.
+numpy's `default_rng` streams are stable across versions, but the floating
+point of its reductions is not guaranteed to be, so another numpy may need
+the digests re-taken.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from inertbarrier.cli import run
+from inertbarrier.particles import (
+    InitialDistribution,
+    mean_regulator_uncoupled,
+    particle_stream,
+    uncoupled_positions,
+)
+from inertbarrier.paths import SampledPath
+
+# simulate: n > 32 exercises the export cap; half_normal draws on branch 1.
+SIMULATE = """\
+n = 40
+T = 0.25
+dt = 0.0078125
+K = 1.0
+v0 = 0.2
+init.kind = half_normal
+init.params = 1.0
+"""
+
+# limit-mc: M = 5000 spans two 4096-path chunks of the Picard sweep.
+LIMIT_MC = """\
+T = 0.25
+dt = 0.015625
+K = 0.5
+v0 = 0.0
+M = 5000
+tol = 0.01
+init.kind = delta
+init.params = 0.0
+"""
+
+# limit-pde: 2500 steps store every second row, so the mollified span seeds rows 2..10.
+LIMIT_PDE = """\
+T = 1.0
+dt_pde = 4e-4
+dx = 2e-2
+K = 1.0
+v0 = 0.0
+init.kind = delta
+init.params = 0.0
+"""
+
+LIMIT_PDE_DENSITY = """\
+T = 0.25
+dt_pde = 4e-4
+dx = 2e-2
+K = 2.0
+v0 = 0.5
+init.kind = exponential
+init.params = 2.0
+"""
+
+DENSITY_DELTA = """\
+T = 1.0
+dt_pde = 4e-4
+dx = 2e-2
+v0 = -0.25
+init.kind = delta
+init.params = 1.0
+"""
+
+DENSITY_HALF_NORMAL = """\
+T = 0.25
+dt_pde = 4e-4
+dx = 2e-2
+v0 = -0.5
+init.kind = half_normal
+init.params = 1.0
+"""
+
+HYDRO = """\
+n = 100
+T = 0.25
+dt = 0.0078125
+K = 1.0
+v0 = 0.0
+init.kind = delta
+init.params = 0.5
+n_list = 100, 400
+reps = 2
+dx = 2e-2
+dt_pde = 4e-4
+"""
+
+CHAOS = """\
+n = 4
+T = 0.25
+dt = 0.03125
+K = 0.5
+v0 = 0.0
+init.kind = uniform
+init.params = 0.0, 1.0
+n_list = 4, 8
+reps = 5
+pair = 1, 2
+"""
+
+GAMMA_RATE = "n = 3\nK = 1.0\nv0 = -0.25\nT = 1.0\n"
+
+CASES = {
+    "simulate": ("simulate", SIMULATE, 5, {
+        "snapshot.csv": "ba44f9d3d8417dc6206333417f4634778c52648cb6430a86a9f8a8c27c894aca",
+        "trajectory.csv": "3374e42b3996249d2636dd24a290a4cd31689bf3a44b7f1824ecac0f1a89e1a2",
+    }),
+    "limit-mc": ("limit-mc", LIMIT_MC, 3, {
+        "barrier_mc.csv": "973058541d329721e5da90e1dbf084ccddbee889790f0b70b2a07039989406c5",
+    }),
+    "limit-pde": ("limit-pde", LIMIT_PDE, 0, {
+        "barrier_pde.csv": "07b9351da53ea021c72eace3903dc9f922aaacfb3b421267294b4ee0f6b9ce3e",
+        "density.csv": "5cc20b5a6870abe21fc821b836a79dfa9ceb1a4e16733e3c2e27661ffea28456",
+    }),
+    "limit-pde-density": ("limit-pde", LIMIT_PDE_DENSITY, 0, {
+        "barrier_pde.csv": "e1cc873093f228800aa3abf8ca682f9d780affc8765009e450d45317a28874ed",
+        "density.csv": "fa22f706af966aedeae6c5abaeca774b23fc5b7f0ec3ee5bcdb9f7edb2f9703a",
+    }),
+    "density-delta": ("density", DENSITY_DELTA, 0, {
+        "barrier.csv": "9a11dc070eb0dc4b713d11dc5e67136e20039a29622158d0c495f7f77257a5eb",
+        "density.csv": "91454d2b5b2e31b843565a8be847b28a1d7e5cdde450650c20b213a55e8b899d",
+    }),
+    "density-half-normal": ("density", DENSITY_HALF_NORMAL, 0, {
+        "barrier.csv": "4f21515cf3c2652badaf6a5396981ec32c4734cccb1c8f6c86d26a1d89e2c626",
+        "density.csv": "fd7177b655f517e676c9300240e42e03fa3d1c3d3fb8deadf711df8d078c7d58",
+    }),
+    "hydro": ("hydro", HYDRO, 2, {
+        "hydro.csv": "789ca4921ab0eeef9a1160fc0fa4c045fa06f5a32a1428cbedfb70e516a175ed",
+    }),
+    "chaos": ("chaos", CHAOS, 4, {
+        "chaos.csv": "23762c6cfd3f6c683275bded3772080a0e8a42f7243e7f1a31efd8d7402fe776",
+    }),
+    "gamma-rate": ("gamma-rate", GAMMA_RATE, 6, {
+        "gamma_rate.csv": "db980541d2a38a0d692a8ba2a89b4cfffd4e41e554515cd7e8286fce4ed4ae10",
+    }),
+}
+
+# First three standard normals of particle_stream(seed, i, branch), as float.hex.
+STREAM_DRAWS = {
+    (7, 0, 0): ["0x1.312052d09b742p-3", "-0x1.46c539a4ffc73p-1", "0x1.7b899c4ddfe4fp-3"],
+    (7, 0, 1): ["0x1.929876e7e39e3p+0", "-0x1.3949c2fc5a5bap-3", "0x1.a469dfe4c528fp-3"],
+    (7, 5, 0): ["0x1.29203df65e34ap-1", "-0x1.6a5b6037b7bd4p+1", "-0x1.0e249da1e6319p-1"],
+    (7, 5, 1): ["0x1.075d5e0b15e6ap+0", "0x1.46aa639372347p-1", "-0x1.19c6f36384a83p-1"],
+    (2**63 + 11, 3, 0): ["-0x1.5624ee4292079p-1", "0x1.63bdbfb8ec0f1p+1", "-0x1.2107c91d5997cp-1"],
+    (2**63 + 11, 3, 1): ["-0x1.528a89057449ap+0", "-0x1.82963d9077a2cp-1", "-0x1.26b6988e7a981p+0"],
+}
+
+
+def _digests(tmp_path, command, config, seed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out), "--quiet"]
+    assert run(argv) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_csv_digests(tmp_path, case, capsys):
+    command, config, seed, expected = CASES[case]
+    assert _digests(tmp_path, command, config, seed) == expected
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", sorted(STREAM_DRAWS))
+def test_particle_stream_first_draws(key):
+    seed, i, branch = key
+    draws = particle_stream(seed, i, branch).standard_normal(3)
+    assert [float(z).hex() for z in draws] == STREAM_DRAWS[key]
+
+
+def test_streaming_evaluators_across_chunks():
+    # 3000 and 5000 particles span two and three chunks of 2048
+    m = mean_regulator_uncoupled(3000, 0.25, 1 / 64, seed=8, v0=-0.5,
+                                 init=InitialDistribution.exponential(1.0))
+    assert m.hex() == "0x1.efd6b8b9563a7p-5"
+    g = SampledPath(0.0, 1 / 64, -0.5 * np.arange(17) / 64)
+    pos = uncoupled_positions(g, InitialDistribution.uniform(0.0, 0.5), 5000, seed=9)
+    assert hashlib.sha256(pos.tobytes()).hexdigest() == (
+        "55ed843b0a74a6f2c953de78e5668fcccfd17bdae00d3933d4d3fe294caf7684"
+    )
