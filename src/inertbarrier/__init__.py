@@ -56,7 +56,7 @@ from .particles import (
     simulate,
     snapshot,
 )
-from .paths import SampledPath, sup_distance, uniform_grid
+from .paths import PathBundle, SampledPath, sup_distance, uniform_grid
 from .skorohod import ReflectionResult, reflect_against_barrier, reflect_path
 from .wasserstein import EmpiricalMeasure, GridDensity, wp_empirical, wp_vs_density
 
@@ -71,6 +71,7 @@ __all__ = [
     "MassDriftError",
     # paths & reflection
     "SampledPath",
+    "PathBundle",
     "uniform_grid",
     "sup_distance",
     "ReflectionResult",

@@ -66,10 +66,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="u64 seed (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="cap on worker threads; results never depend on it",
-        )
     return parser
 
 
@@ -261,8 +257,6 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.threads < 1:
-            raise InvalidInputError("--threads must be >= 1")
         return _COMMANDS[args.command](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -272,6 +266,9 @@ def run(argv) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory for this run: {exc}", file=sys.stderr)
         return 1
 
 

@@ -24,13 +24,13 @@ f_i against that line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .paths import SampledPath, require_same_grid
+from .paths import PathBundle, SampledPath, require_same_grid
 
 __all__ = [
     "BarrierTrajectory",
@@ -78,25 +78,24 @@ class GammaResult:
     """
 
     barrier: BarrierTrajectory
-    m: tuple[SampledPath, ...]
-    x: tuple[SampledPath, ...]
+    m: PathBundle
+    x: PathBundle
     eps_used: float
     refine_gap: float | None = None
     tol_reached: bool = True
 
 
-def _validate_drivers(f: Sequence[SampledPath]) -> tuple[np.ndarray, float, float]:
+def _validate_drivers(f: PathBundle | Sequence[SampledPath]) -> PathBundle:
     if len(f) == 0:
         raise InvalidInputError("need at least one driver path")
-    require_same_grid(*f)
-    mat = np.stack([p.values for p in f])  # (n, N+1)
-    if np.any(mat[:, 0] < 0.0):
+    drivers = PathBundle.of(f)
+    if np.any(drivers.values[:, 0] < 0.0):
         raise InvalidInputError("drivers must start at or above the barrier: f_i(0) >= 0")
-    return mat, f[0].t0, f[0].dt
+    return drivers
 
 
 def solve_gamma(
-    f: Sequence[SampledPath],
+    f: PathBundle | Sequence[SampledPath],
     v0: float,
     K: float,
     eps: float | None = None,
@@ -105,8 +104,9 @@ def solve_gamma(
 
     Parameters
     ----------
-    f : sequence of SampledPath
-        Drivers on one common grid with f_i(0) >= 0.
+    f : PathBundle or sequence of SampledPath
+        Drivers on one common grid with f_i(0) >= 0.  A bundle is used as
+        is; a sequence is stacked into one.
     v0 : float
         Initial barrier velocity.
     K : float
@@ -119,8 +119,9 @@ def solve_gamma(
         raise InvalidInputError(f"impulse constant K must be >= 0, got {K}")
     if not np.isfinite(v0):
         raise InvalidInputError("v0 must be finite")
-    fmat, t0, dt = _validate_drivers(f)
-    n, npts = fmat.shape
+    drivers = _validate_drivers(f)
+    t0, dt = drivers.t0, drivers.dt
+    n, npts = drivers.values.shape
     nsteps = npts - 1
 
     if eps is None:
@@ -130,8 +131,9 @@ def solve_gamma(
         raise InvalidInputError(f"eps={eps} must be a positive integer multiple of dt={dt}")
     eps = stride * dt
 
-    # Time-major layout keeps the per-step row operations contiguous.
-    ft = np.ascontiguousarray(fmat.T)  # (N+1, n)
+    # Time-major layout keeps the per-step row operations contiguous.  The
+    # copy is ours: it becomes the reflected paths in place below.
+    ft = np.array(drivers.values.T, order="C")  # (N+1, n)
     m = np.empty_like(ft)
     y = np.empty(npts)
     y[0] = 0.0
@@ -146,21 +148,19 @@ def solve_gamma(
         np.maximum(m[k], y[k + 1] - ft[k + 1], out=m[k + 1])
 
     v = v0 - scale * np.add.reduce(m, axis=1)
-    x = ft + m
+    x = np.add(ft, m, out=ft)
 
     y_path = SampledPath(t0, dt, y)
     barrier = BarrierTrajectory(
         y=y_path, v=SampledPath(t0, dt, v), impulse_K=float(K), v0=float(v0)
     )
-    mt = m.T
-    xt = x.T
-    m_paths = tuple(SampledPath(t0, dt, mt[i]) for i in range(n))
-    x_paths = tuple(SampledPath(t0, dt, xt[i]) for i in range(n))
-    return GammaResult(barrier=barrier, m=m_paths, x=x_paths, eps_used=eps)
+    return GammaResult(
+        barrier=barrier, m=PathBundle(t0, dt, m.T), x=PathBundle(t0, dt, x.T), eps_used=eps
+    )
 
 
 def solve_gamma_refined(
-    f: Sequence[SampledPath],
+    f: PathBundle | Sequence[SampledPath],
     v0: float,
     K: float,
     tol: float = 1e-3,
@@ -174,8 +174,8 @@ def solve_gamma_refined(
     """
     if not (tol > 0):
         raise InvalidInputError(f"tol must be positive, got {tol}")
-    _, _, dt = _validate_drivers(f)
-    nsteps = f[0].n_steps
+    f = _validate_drivers(f)
+    dt, nsteps = f.dt, f.n_steps
     j = int(math.floor(math.log2(nsteps)))  # coarsest level: eps covers the horizon
 
     prev = solve_gamma(f, v0, K, eps=dt * 2**j)
@@ -185,16 +185,10 @@ def solve_gamma_refined(
         cur = solve_gamma(f, v0, K, eps=dt * 2**j)
         gap = float(np.max(np.abs(cur.barrier.y.values - prev.barrier.y.values)))
         if gap <= tol:
-            return GammaResult(
-                barrier=cur.barrier, m=cur.m, x=cur.x,
-                eps_used=cur.eps_used, refine_gap=gap, tol_reached=True,
-            )
+            return replace(cur, refine_gap=gap, tol_reached=True)
         prev = cur
     # eps is down to dt and the last gap (if any) still exceeds tol.
-    return GammaResult(
-        barrier=prev.barrier, m=prev.m, x=prev.x,
-        eps_used=prev.eps_used, refine_gap=gap, tol_reached=False,
-    )
+    return replace(prev, refine_gap=gap, tol_reached=False)
 
 
 def lipschitz_envelope(eta: float, n: int, K: float, T: float) -> tuple[float, float]:
@@ -234,9 +228,9 @@ def refinement_bound(norm_f_sum: float, n: int, K: float, T: float, eps: float) 
 def velocity_envelope(barrier: BarrierTrajectory, m, x) -> tuple[float, float]:
     """Measured and guaranteed bounds on the velocity excursion.
 
-    `m` and `x` are the regulator and reflected paths (as in a GammaResult,
-    or a particle-system trajectory).  Returns (measured, bound) where
-    measured = sup_k |v(k) - v0| and
+    `m` and `x` are the regulator and reflected path bundles (as in a
+    GammaResult, or a particle-system trajectory).  Returns (measured, bound)
+    where measured = sup_k |v(k) - v0| and
 
         bound = (K/n) * sum_i sup_k max(-(f_i(k) - v0*t_k), 0) + K*max(v0,0)*T.
 
@@ -248,12 +242,10 @@ def velocity_envelope(barrier: BarrierTrajectory, m, x) -> tuple[float, float]:
     v = barrier.v.values
     y = barrier.y
     t = y.times - y.t0
-    n = len(x)
-    total = 0.0
-    for xi, mi in zip(x, m):
-        f_vals = xi.values - mi.values
-        total += float(np.max(np.maximum(-(f_vals - v0 * t), 0.0)))
+    f = x.values - m.values
+    deficits = np.maximum(np.max(v0 * t - f, axis=1), 0.0)
+    total = sum(deficits.tolist())  # summed driver by driver, in order
     T = y.t_end - y.t0
-    bound = K / n * total + K * max(v0, 0.0) * T
+    bound = K / len(x) * total + K * max(v0, 0.0) * T
     measured = float(np.max(np.abs(v - v0)))
     return measured, bound

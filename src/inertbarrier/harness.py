@@ -8,7 +8,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .particles import (
     simulate,
     snapshot,
 )
-from .paths import SampledPath
+from .paths import PathBundle
 from .wasserstein import wp_vs_density
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "replicate_seed",
     "hydro_convergence",
     "chaos_test",
-    "brownian_drivers",
     "gamma_rate_study",
     "fitted_decay_rate",
     "invariant_sweep",
@@ -104,11 +103,7 @@ def hydro_convergence(
         w1 = np.empty(reps)
         gap = np.empty(reps)
         for r in range(reps):
-            cfg = SimConfig(
-                n=n, T=base.T, dt=base.dt, K=base.K, v0=base.v0,
-                init=base.init, seed=replicate_seed(seed, r),
-            )
-            traj = simulate(cfg)
+            traj = simulate(replace(base, n=n, seed=replicate_seed(seed, r)))
             w1[r] = wp_vs_density(snapshot(traj, base.T), density_T, p=1)
             gap[r] = float(np.max(np.abs(traj.barrier.y.values - y_lim)))
         rows.append(
@@ -149,25 +144,12 @@ def chaos_test(
         xi_vals = np.empty(reps)
         xj_vals = np.empty(reps)
         for r in range(reps):
-            cfg = SimConfig(
-                n=n, T=base.T, dt=base.dt, K=base.K, v0=base.v0,
-                init=base.init, seed=rep_seeds[r],
-            )
-            traj = simulate(cfg)
-            xi_vals[r] = traj.particles[i - 1].values[-1]
-            xj_vals[r] = traj.particles[j - 1].values[-1]
+            x_final = simulate(replace(base, n=n, seed=rep_seeds[r])).particles.values[:, -1]
+            xi_vals[r] = x_final[i - 1]
+            xj_vals[r] = x_final[j - 1]
         corr = float(np.corrcoef(xi_vals, xj_vals)[0, 1])
         rows.append(ChaosRow(n=n, corr=corr, ci_halfwidth=1.96 / math.sqrt(reps)))
     return rows
-
-
-def brownian_drivers(n: int, T: float, dt: float):
-    """Driver generator for `gamma_rate_study`: n Brownian paths from 0."""
-
-    def gen(seed):
-        return sample_brownian(n, T, dt, seed)
-
-    return gen
 
 
 def gamma_rate_study(
@@ -184,6 +166,8 @@ def gamma_rate_study(
     For each level l the gap is the sup-distance between barriers computed
     at lattice widths T*2^-l and T*2^-(l+1); the bound column is
     `refinement_bound` at eps = T*2^-l.  The bound is proved for v0 <= 0.
+    The drivers are n Brownian paths from 0 unless `drivers(seed)` supplies
+    paths on the finest grid.
     """
     levels = sorted(int(l) for l in levels)
     if not levels or levels[0] < 0:
@@ -191,13 +175,14 @@ def gamma_rate_study(
     lmax = levels[-1] + 1
     dt = T / 2**lmax
     if drivers is None:
-        drivers = brownian_drivers(n, T, dt)
-    f = drivers(seed)
-    if f[0].n_steps != 2**lmax:
+        f = sample_brownian(n, T, dt, seed)
+    else:
+        f = PathBundle.of(drivers(seed))
+    if f.n_steps != 2**lmax:
         raise InvalidInputError(
-            f"drivers must live on the fine grid with {2**lmax} steps, got {f[0].n_steps}"
+            f"drivers must live on the fine grid with {2**lmax} steps, got {f.n_steps}"
         )
-    norm_sum = sum(p.sup_norm() for p in f)
+    norm_sum = sum(np.max(np.abs(f.values), axis=1).tolist())  # sup norms, in order
     nf = len(f)
 
     barriers = {}
@@ -242,15 +227,13 @@ def _check_trajectory(traj, label: str) -> list[str]:
     y_slack = 1e-12 * scale * traj.config.dt + 8 * np.finfo(float).eps * (1 + np.max(np.abs(y)))
     if y.size >= 3 and np.any(np.diff(y, 2) > y_slack):
         bad.append(f"{label}: barrier position not concave")
-    for idx, p in enumerate(traj.particles):
-        if np.any(p.values < y - _SWEEP_TOL):
-            bad.append(f"{label}: particle {idx + 1} crossed the barrier")
-            break
-    for idx, m in enumerate(traj.m):
-        dm = np.diff(m.values)
-        if m.values[0] < -_SWEEP_TOL or np.any(dm < -1e-12):
-            bad.append(f"{label}: regulator {idx + 1} not nondecreasing from 0")
-            break
+    crossed = np.flatnonzero(np.any(traj.particles.values < y - _SWEEP_TOL, axis=1))
+    if crossed.size:
+        bad.append(f"{label}: particle {crossed[0] + 1} crossed the barrier")
+    m = traj.m.values
+    falling = np.flatnonzero((m[:, 0] < -_SWEEP_TOL) | np.any(np.diff(m) < -1e-12, axis=1))
+    if falling.size:
+        bad.append(f"{label}: regulator {falling[0] + 1} not nondecreasing from 0")
     measured, bound = velocity_envelope(traj.barrier, traj.m, traj.particles)
     if measured > bound + _SWEEP_TOL:
         bad.append(f"{label}: velocity excursion {measured:.3e} above envelope {bound:.3e}")

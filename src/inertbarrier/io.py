@@ -42,19 +42,16 @@ def _write_rows(path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _write_columns(path, header: str, *cols) -> None:
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in zip(*cols)))
+
+
 def write_trajectory(path, traj) -> None:
     """Header t,Y,V,X1..Xk with the first k <= 32 particle paths."""
     k = min(len(traj.particles), MAX_EXPORT_PARTICLES)
     header = "t,Y,V," + ",".join(f"X{i}" for i in range(1, k + 1))
-    times = traj.barrier.y.times
-    cols = [traj.barrier.y.values, traj.barrier.v.values]
-    cols += [traj.particles[i].values for i in range(k)]
-
-    def rows():
-        for idx, t in enumerate(times):
-            yield [_fmt(t)] + [_fmt(c[idx]) for c in cols]
-
-    _write_rows(path, header, rows())
+    y, v = traj.barrier.y, traj.barrier.v
+    _write_columns(path, header, y.times, y.values, v.values, *traj.particles.values[:k])
 
 
 def write_snapshot(path, t: float, measure) -> None:
@@ -81,22 +78,12 @@ def write_density_field(path, field) -> None:
 
 def write_field_barrier(path, field) -> None:
     """Header t,y,yprime for the free boundary of a density field."""
-
-    def rows():
-        for t, y, yp in zip(field.y.times, field.y.values, field.yprime.values):
-            yield [_fmt(t), _fmt(y), _fmt(yp)]
-
-    _write_rows(path, "t,y,yprime", rows())
+    _write_columns(path, "t,y,yprime", field.y.times, field.y.values, field.yprime.values)
 
 
 def write_limit_barrier(path, barrier) -> None:
     """Header t,y,v for a Monte Carlo limit barrier."""
-
-    def rows():
-        for t, y, v in zip(barrier.y.times, barrier.y.values, barrier.v.values):
-            yield [_fmt(t), _fmt(y), _fmt(v)]
-
-    _write_rows(path, "t,y,v", rows())
+    _write_columns(path, "t,y,v", barrier.y.times, barrier.y.values, barrier.v.values)
 
 
 def write_hydro_table(path, rows) -> None:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError
-from .particles import InitialDistribution, _brownian_chunk, _initial_chunk
+from .particles import InitialDistribution, driver_chunks
 from .paths import SampledPath, uniform_grid
 from .wasserstein import GridDensity
 
@@ -58,6 +58,9 @@ MASS_DRIFT_LIMIT = 1e-3
 
 # An undershoot of u below this is reported (values are clipped either way).
 CLIP_REPORT_LEVEL = -1e-10
+
+# Approximate number of time slices a density solver stores.
+STORE_TARGET = 1000
 
 
 def reflected_heat_kernel(t: float, x, x0: float):
@@ -130,10 +133,7 @@ def _mean_regulator_sweep(
 ) -> np.ndarray:
     """mean_j over M paths of the running regulator against barrier y."""
     total = np.zeros(nsteps + 1)
-    for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
-        f = _brownian_chunk(seed, lo, hi, nsteps, dt)
-        f += _initial_chunk(init, seed, lo, hi)[:, None]
+    for _, _, f in driver_chunks(init, seed, M, nsteps, dt, chunk):
         np.subtract(y[None, :], f, out=f)
         np.maximum(f, 0.0, out=f)
         np.maximum.accumulate(f, axis=1, out=f)
@@ -316,8 +316,8 @@ def _cn_step(u: np.ndarray, c: float, dt: float, dx: float, ab: np.ndarray) -> n
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
 
 
-def _pick_stride(nsteps: int, target: int = 1000) -> int:
-    s = max(1, nsteps // target)
+def _pick_stride(nsteps: int) -> int:
+    s = max(1, nsteps // STORE_TARGET)
     while nsteps % s:
         s -= 1
     return s
@@ -330,9 +330,23 @@ def _trapezoid_weights(J: int, dx: float) -> np.ndarray:
 
 
 class _FrameStepper:
-    """Shared machinery of the free and prescribed barrier solvers."""
+    """Crank-Nicolson evolution of the frame density, shared by both density solvers.
 
-    def __init__(self, T: float, dt_pde: float, dx: float, x_max: float, store_target: int):
+    A Dirac initial law at c is mollified by the exact reflected kernel run to
+    t_mol = k_start*dt_pde (k_start = 10, or the horizon if shorter), which
+    assumes the barrier stays near 0 over [0, t_mol]; a law with a density
+    starts at step 0 (u0 is the profile at step k_start).  `run` takes each
+    step's frame velocity from a frame: `_FreeBoundary` or
+    `_PrescribedBarrier`.  x_max defaults to the initial extent + 6*sqrt(T) +
+    barrier_span.
+    """
+
+    def __init__(self, init, T: float, dt_pde: float, dx: float, x_max, barrier_span: float):
+        if x_max is None:
+            extent = init.upper_extent() if isinstance(init, InitialDistribution) else (
+                float(init.x_grid[-1])
+            )
+            x_max = extent + 6.0 * math.sqrt(T) + barrier_span
         if not (dx > 0 and np.isfinite(dx)):
             raise InvalidInputError("dx must be positive")
         if not (0 < dt_pde <= dx * dx * (1 + 1e-9)):
@@ -347,11 +361,15 @@ class _FrameStepper:
         self.J = int(round(x_max / dx))
         self.x = dx * np.arange(self.J + 1)
         self.weights = _trapezoid_weights(self.J, dx)
-        self.stride = _pick_stride(self.nsteps, store_target)
+        self.stride = _pick_stride(self.nsteps)
         self.ab = np.empty((3, self.J + 1))
         self.min_u = 0.0
         self.clip_events = 0
         self.mass_drift = 0.0
+        is_delta = isinstance(init, InitialDistribution) and init.kind == "delta"
+        self.delta = init.params[0] if is_delta else None
+        self.k_start = min(10, self.nsteps) if is_delta else 0
+        self.u0 = self.monitor(self._initial_density(init))
 
     def monitor(self, u: np.ndarray) -> np.ndarray:
         low = float(np.min(u))
@@ -374,25 +392,58 @@ class _FrameStepper:
             raise InvalidInputError("initial density has nonpositive mass on the grid")
         return u / mass
 
+    def kernel(self, t: float) -> np.ndarray:
+        """The Dirac's exact reflected kernel at time t, zero at the far node, normalized."""
+        u = reflected_heat_kernel(t, self.x, self.delta)
+        u[-1] = 0.0
+        return self.normalize(u)
 
-def _initial_frame_density(init, stepper: _FrameStepper) -> np.ndarray:
-    """Sample a non-Dirac initial law on the frame grid (normalized)."""
-    if isinstance(init, GridDensity):
-        u0 = np.interp(stepper.x, init.x_grid, init.weights, left=0.0, right=0.0)
-        return stepper.normalize(np.maximum(u0, 0.0))
-    vals = init.density_on_grid(stepper.x)
-    if vals is None:
-        raise InvalidInputError(
-            f"initial kind {init.kind!r} has no density; the density solvers accept "
-            "delta, uniform, exponential, half_normal, or an explicit GridDensity"
+    def _initial_density(self, init) -> np.ndarray:
+        """Normalized density at step k_start on the frame grid."""
+        if self.delta is not None:
+            return self.kernel(self.k_start * self.dt)
+        if isinstance(init, GridDensity):
+            u0 = np.interp(self.x, init.x_grid, init.weights, left=0.0, right=0.0)
+            return self.normalize(np.maximum(u0, 0.0))
+        vals = init.density_on_grid(self.x)
+        if vals is None:
+            raise InvalidInputError(
+                f"initial kind {init.kind!r} has no density; the density solvers accept "
+                "delta, uniform, exponential, half_normal, or an explicit GridDensity"
+            )
+        return self.normalize(vals)
+
+    def run(self, frame) -> DensityField:
+        """Step from k_start to the horizon and store every stride-th slice.
+
+        Stored slices strictly inside the mollified span hold the exact
+        kernel at their own time; slice 0 stands in for the Dirac with the
+        profile that starts the scheme.
+        """
+        u = self.u0
+        out = np.empty((self.nsteps // self.stride + 1, self.J + 1))
+        out[0] = u
+        if self.delta is not None:
+            for r in range(self.stride, self.k_start + 1, self.stride):
+                out[r // self.stride] = self.kernel(r * self.dt)
+        for k in range(self.k_start, self.nsteps):
+            u = self.monitor(_cn_step(u, frame.velocity(k), self.dt, self.dx, self.ab))
+            frame.observe(k + 1, u)
+            if (k + 1) % self.stride == 0:
+                out[(k + 1) // self.stride] = u
+
+        rows = np.arange(0, self.nsteps + 1, self.stride)
+        dt_out = self.stride * self.dt
+        return DensityField(
+            times=self.dt * rows.astype(np.float64),
+            x_grid=self.x,
+            u=out,
+            y=SampledPath(0.0, dt_out, frame.y[rows]),
+            yprime=SampledPath(0.0, dt_out, frame.yp[rows]),
+            impulse_K=float(frame.K),
+            mass_drift=self.mass_drift,
+            clip_events=self.clip_events,
         )
-    return stepper.normalize(vals)
-
-
-def _delta_mollified(c: float, t_mol: float, stepper: _FrameStepper) -> np.ndarray:
-    u = reflected_heat_kernel(t_mol, stepper.x, c)
-    u[-1] = 0.0
-    return stepper.normalize(u)
 
 
 def _delta_boundary_integral(c: float, t: float, substeps: int, dt: float) -> tuple[float, float]:
@@ -415,6 +466,53 @@ def _delta_boundary_integral(c: float, t: float, substeps: int, dt: float) -> tu
     return i0, i1
 
 
+class _FreeBoundary:
+    """Frame velocity fed back from the density: y'' = -(K/2) u(t, 0)."""
+
+    def __init__(self, v0: float, K: float, stepper: _FrameStepper):
+        dt = stepper.dt
+        self.K, self.dt = K, dt
+        self.y = np.zeros(stepper.nsteps + 1)
+        self.yp = np.zeros(stepper.nsteps + 1)
+        self.yp[0] = v0
+        # Across the mollified span the barrier follows the exact kernel's
+        # boundary values (the frame shift during [0, t_mol] is O(t_mol) and
+        # ignored by the kernel).
+        for k in range(1, stepper.k_start + 1):
+            i0_k, i1_k = _delta_boundary_integral(stepper.delta, k * dt, k, dt)
+            self.yp[k] = v0 - 0.5 * K * i0_k
+            self.y[k] = v0 * (k * dt) - 0.5 * K * i1_k
+        self.ypp = -0.5 * K * stepper.u0[0]
+
+    def velocity(self, k: int) -> float:
+        return self.yp[k] + 0.5 * self.dt * self.ypp
+
+    def observe(self, k: int, u: np.ndarray) -> None:
+        """Take the density after step k-1 -> k; advance y', y to k (trapezoid rule)."""
+        ypp = -0.5 * self.K * u[0]
+        self.yp[k] = self.yp[k - 1] + 0.5 * self.dt * (self.ypp + ypp)
+        self.y[k] = self.y[k - 1] + 0.5 * self.dt * (self.yp[k - 1] + self.yp[k])
+        self.ypp = ypp
+
+
+class _PrescribedBarrier:
+    """Frame velocity of a given barrier path g, resampled on the step grid; no feedback."""
+
+    K = 0.0
+
+    def __init__(self, g: SampledPath, stepper: _FrameStepper):
+        dt = stepper.dt
+        self.y = np.interp(dt * np.arange(stepper.nsteps + 1), g.times, g.values)
+        self.slopes = np.diff(self.y) / dt
+        self.yp = np.gradient(self.y, dt)
+
+    def velocity(self, k: int) -> float:
+        return self.slopes[k]
+
+    def observe(self, k: int, u: np.ndarray) -> None:
+        pass
+
+
 def solve_limit_pde(
     init,
     v0: float,
@@ -423,7 +521,6 @@ def solve_limit_pde(
     dt_pde: float,
     dx: float,
     x_max: float | None = None,
-    store_target: int = 1000,
 ) -> DensityField:
     """Free-boundary density solver in the barrier frame.
 
@@ -438,94 +535,16 @@ def solve_limit_pde(
         Time step (requires dt_pde <= dx^2) and space step.
     x_max : float, optional
         Frame-domain width; defaults to initial extent + 6*sqrt(T) + |v0|*T.
-    store_target : int
-        Approximate number of stored time slices.
 
     Returns
     -------
     DensityField
+        With about STORE_TARGET stored time slices.
     """
     if not (np.isfinite(K) and K >= 0):
         raise InvalidInputError(f"K must be >= 0, got {K}")
-    if x_max is None:
-        extent = init.upper_extent() if isinstance(init, InitialDistribution) else (
-            float(init.x_grid[-1])
-        )
-        x_max = extent + 6.0 * math.sqrt(T) + abs(v0) * T
-    stepper = _FrameStepper(T, dt_pde, dx, x_max, store_target)
-    dt = stepper.dt
-    nsteps = stepper.nsteps
-
-    is_delta = isinstance(init, InitialDistribution) and init.kind == "delta"
-    k_start = 0
-    y = np.zeros(nsteps + 1)
-    yp = np.zeros(nsteps + 1)
-    yp[0] = v0
-
-    if is_delta:
-        c = init.params[0]
-        k_start = min(10, nsteps)
-        t_mol = k_start * dt
-        u = _delta_mollified(c, t_mol, stepper)
-        # Advance the barrier across the mollified span with the exact
-        # kernel boundary values (the frame shift during [0, t_mol] is
-        # O(t_mol) and ignored by the kernel).
-        for k in range(1, k_start + 1):
-            i0_k, i1_k = _delta_boundary_integral(c, k * dt, k, dt)
-            yp[k] = v0 - 0.5 * K * i0_k
-            y[k] = v0 * (k * dt) - 0.5 * K * i1_k
-    else:
-        u = _initial_frame_density(init, stepper)
-
-    u = stepper.monitor(u)
-    u_rows = _seed_stored_rows(u, init if is_delta else None, k_start, stepper)
-
-    ypp_old = -0.5 * K * u[0]
-    for k in range(k_start, nsteps):
-        yp_half = yp[k] + 0.5 * dt * ypp_old
-        u = _cn_step(u, yp_half, dt, stepper.dx, stepper.ab)
-        u = stepper.monitor(u)
-        ypp_new = -0.5 * K * u[0]
-        yp[k + 1] = yp[k] + 0.5 * dt * (ypp_old + ypp_new)
-        y[k + 1] = y[k] + 0.5 * dt * (yp[k] + yp[k + 1])
-        ypp_old = ypp_new
-        if (k + 1) % stepper.stride == 0:
-            u_rows[k + 1] = u.copy()
-
-    return _assemble_field(stepper, u_rows, y, yp, K)
-
-
-def _seed_stored_rows(u, delta_init, k_start, stepper) -> dict[int, np.ndarray]:
-    """Stored slices covering the mollified span [0, k_start] plus row 0.
-
-    Rows strictly inside the span hold the exact kernel at their own time;
-    row 0 stands in for the Dirac with the profile that starts the scheme.
-    """
-    u_rows = {0: u.copy()}
-    if delta_init is not None:
-        c = delta_init.params[0]
-        for r in range(stepper.stride, k_start + 1, stepper.stride):
-            prof = reflected_heat_kernel(r * stepper.dt, stepper.x, c)
-            prof[-1] = 0.0
-            u_rows[r] = stepper.normalize(prof)
-    return u_rows
-
-
-def _assemble_field(stepper, u_rows, y, yp, K):
-    dt_out = stepper.stride * stepper.dt
-    rows = list(range(0, stepper.nsteps + 1, stepper.stride))
-    out = np.stack([u_rows[r] for r in rows])
-    times = stepper.dt * np.asarray(rows, dtype=np.float64)
-    return DensityField(
-        times=times,
-        x_grid=stepper.x,
-        u=out,
-        y=SampledPath(0.0, dt_out, y[rows]),
-        yprime=SampledPath(0.0, dt_out, yp[rows]),
-        impulse_K=float(K),
-        mass_drift=stepper.mass_drift,
-        clip_events=stepper.clip_events,
-    )
+    stepper = _FrameStepper(init, T, dt_pde, dx, x_max, abs(v0) * T)
+    return stepper.run(_FreeBoundary(v0, K, stepper))
 
 
 def density_fixed_barrier(
@@ -535,51 +554,21 @@ def density_fixed_barrier(
     dt_pde: float,
     dx: float,
     x_max: float | None = None,
-    store_target: int = 1000,
 ) -> DensityField:
     """Density of independent particles reflected above a prescribed barrier.
 
     Same frame stepper as `solve_limit_pde` but the barrier path g is given
     (no feedback; the stored impulse constant is 0).  g must start at 0 at
-    time 0 and cover [0, T]; its grid need not match dt_pde.
+    time 0 and cover [0, T]; its grid need not match dt_pde.  x_max defaults
+    to initial extent + 6*sqrt(T) + (max g - min g).
     """
     if g.t0 != 0.0 or g.values[0] != 0.0:
         raise InvalidInputError("prescribed barrier must start at g(0) = 0")
     if g.t_end < T * (1 - 1e-12):
         raise InvalidInputError(f"prescribed barrier ends at {g.t_end}, need {T}")
-    if x_max is None:
-        extent = init.upper_extent() if isinstance(init, InitialDistribution) else (
-            float(init.x_grid[-1])
-        )
-        x_max = extent + 6.0 * math.sqrt(T) + float(np.max(g.values) - np.min(g.values))
-    stepper = _FrameStepper(T, dt_pde, dx, x_max, store_target)
-    dt = stepper.dt
-    nsteps = stepper.nsteps
-
-    tnodes = dt * np.arange(nsteps + 1)
-    gv = np.interp(tnodes, g.times, g.values)
-    slopes = np.diff(gv) / dt
-
-    is_delta = isinstance(init, InitialDistribution) and init.kind == "delta"
-    k_start = 0
-    if is_delta:
-        c = init.params[0]
-        k_start = min(10, nsteps)
-        # Mollification assumes the barrier stays near 0 over [0, t_mol].
-        u = _delta_mollified(c, k_start * dt, stepper)
-    else:
-        u = _initial_frame_density(init, stepper)
-    u = stepper.monitor(u)
-
-    u_rows = _seed_stored_rows(u, init if is_delta else None, k_start, stepper)
-    for k in range(k_start, nsteps):
-        u = _cn_step(u, slopes[k], dt, stepper.dx, stepper.ab)
-        u = stepper.monitor(u)
-        if (k + 1) % stepper.stride == 0:
-            u_rows[k + 1] = u.copy()
-
-    yp = np.gradient(gv, dt)
-    return _assemble_field(stepper, u_rows, gv, yp, 0.0)
+    span = float(np.max(g.values) - np.min(g.values))
+    stepper = _FrameStepper(init, T, dt_pde, dx, x_max, span)
+    return stepper.run(_PrescribedBarrier(g, stepper))
 
 
 def consistency_check(field: DensityField, K: float | None = None, threshold: float = 0.02) -> ConsistencyReport:

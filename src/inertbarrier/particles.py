@@ -3,7 +3,9 @@
 Randomness contract: the stream for particle i is derived deterministically
 from (seed, i) via `numpy.random.SeedSequence` spawn keys, so a particle's
 driver path does not depend on n, on the other particles, or on how work is
-scheduled.  Identical configs produce bitwise-identical trajectories.
+scheduled.  Identical configs produce bitwise-identical trajectories.  This
+module is the only one that draws from those streams; the mean-field solver
+takes its Monte Carlo drivers from `driver_chunks`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gamma import BarrierTrajectory, solve_gamma
-from .paths import SampledPath, uniform_grid
+from .paths import PathBundle, SampledPath, uniform_grid
 from .wasserstein import EmpiricalMeasure
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "ParticleSystemTrajectory",
     "sample_brownian",
     "sample_initial",
+    "driver_chunks",
     "simulate",
     "snapshot",
     "mean_regulator_uncoupled",
@@ -163,8 +166,8 @@ class ParticleSystemTrajectory:
 
     config: SimConfig
     barrier: BarrierTrajectory
-    particles: tuple[SampledPath, ...]
-    m: tuple[SampledPath, ...]
+    particles: PathBundle
+    m: PathBundle
 
 
 def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float) -> np.ndarray:
@@ -201,7 +204,7 @@ def _initial_chunk(init: InitialDistribution, seed, lo: int, hi: int) -> np.ndar
     return out
 
 
-def sample_brownian(n: int, T: float, dt: float, seed) -> list[SampledPath]:
+def sample_brownian(n: int, T: float, dt: float, seed) -> PathBundle:
     """n independent Brownian paths from 0 on the uniform grid.
 
     Increments are N(0, dt); particle i's stream depends only on (seed, i).
@@ -209,9 +212,7 @@ def sample_brownian(n: int, T: float, dt: float, seed) -> list[SampledPath]:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     nsteps = uniform_grid(T, dt)
-    mat = _brownian_chunk(seed, 0, n, nsteps, dt)
-    mat.flags.writeable = False
-    return [SampledPath(0.0, dt, mat[i]) for i in range(n)]
+    return PathBundle(0.0, dt, _brownian_chunk(seed, 0, n, nsteps, dt))
 
 
 def sample_initial(init: InitialDistribution, n: int, seed) -> np.ndarray:
@@ -219,6 +220,19 @@ def sample_initial(init: InitialDistribution, n: int, seed) -> np.ndarray:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     return _initial_chunk(init, seed, 0, n)
+
+
+def driver_chunks(init: InitialDistribution, seed, n: int, nsteps: int, dt: float, chunk: int):
+    """Drivers f_i = xi_i + B_i of particles 0..n-1, `chunk` particles at a time.
+
+    Yields (lo, hi, f) with f of shape (hi-lo, nsteps+1) holding particles
+    lo..hi-1.  Each f is a fresh array the caller may overwrite.
+    """
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        f = _brownian_chunk(seed, lo, hi, nsteps, dt)
+        f += _initial_chunk(init, seed, lo, hi)[:, None]
+        yield lo, hi, f
 
 
 def simulate(config: SimConfig) -> ParticleSystemTrajectory:
@@ -241,8 +255,7 @@ def simulate(config: SimConfig) -> ParticleSystemTrajectory:
     xi = sample_initial(config.init, config.n, config.seed)
     fmat = _brownian_chunk(config.seed, 0, config.n, nsteps, config.dt)
     fmat += xi[:, None]
-    drivers = [SampledPath(0.0, config.dt, fmat[i]) for i in range(config.n)]
-    res = solve_gamma(drivers, config.v0, config.K, eps=config.dt)
+    res = solve_gamma(PathBundle(0.0, config.dt, fmat), config.v0, config.K, eps=config.dt)
     return ParticleSystemTrajectory(
         config=config, barrier=res.barrier, particles=res.x, m=res.m
     )
@@ -251,7 +264,7 @@ def simulate(config: SimConfig) -> ParticleSystemTrajectory:
 def snapshot(traj: ParticleSystemTrajectory, t: float) -> EmpiricalMeasure:
     """Empirical measure of particle positions at grid time t."""
     k = traj.barrier.y.index_of(t)
-    return EmpiricalMeasure.from_samples([p.values[k] for p in traj.particles])
+    return EmpiricalMeasure.from_samples(traj.particles.values[:, k])
 
 
 def mean_regulator_uncoupled(
@@ -274,10 +287,7 @@ def mean_regulator_uncoupled(
     nsteps = uniform_grid(T, dt)
     line = v0 * (dt * np.arange(nsteps + 1))
     total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        f = _brownian_chunk(seed, lo, hi, nsteps, dt)
-        f += _initial_chunk(init, seed, lo, hi)[:, None]
+    for _, _, f in driver_chunks(init, seed, n, nsteps, dt, chunk):
         deficit = np.max(line[None, :] - f, axis=1)
         total += float(np.add.reduce(np.maximum(deficit, 0.0)))
     return total / n
@@ -297,12 +307,8 @@ def uncoupled_positions(
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    nsteps = g.n_steps
     out = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        f = _brownian_chunk(seed, lo, hi, nsteps, g.dt)
-        f += _initial_chunk(init, seed, lo, hi)[:, None]
+    for lo, hi, f in driver_chunks(init, seed, n, g.n_steps, g.dt, chunk):
         m = np.maximum(np.max(g.values[None, :] - f, axis=1), 0.0)
         out[lo:hi] = f[:, -1] + m
     return out

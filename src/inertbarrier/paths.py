@@ -1,7 +1,8 @@
 """Uniformly sampled paths.
 
 Every trajectory in this package is a `SampledPath`: values on a uniform
-time grid, read as the piecewise-linear interpolant between samples.  All
+time grid, read as the piecewise-linear interpolant between samples.  n paths
+on one grid are a `PathBundle`, one (n, n_steps + 1) matrix.  All
 operations that combine paths require identical grids; nothing here ever
 resamples silently.
 """
@@ -17,10 +18,19 @@ from .errors import InvalidInputError
 GRID_RTOL = 1e-9
 
 
-def _as_readonly_f64(values) -> np.ndarray:
+def _validated_values(t0, dt, values, ndim: int) -> np.ndarray:
+    """Read-only float64 view of grid values with `ndim` axes, time last."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"path values must be 1-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"path values must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(t0):
+        raise InvalidInputError("t0 must be finite")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidInputError(f"dt must be positive and finite, got {dt}")
+    if arr.shape[-1] < 2:
+        raise InvalidInputError("a path needs at least two samples")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("path values must be finite")
     view = arr.view()
     view.flags.writeable = False
     return view
@@ -45,15 +55,7 @@ class SampledPath:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly_f64(self.values))
-        if not np.isfinite(self.t0):
-            raise InvalidInputError("t0 must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise InvalidInputError(f"dt must be positive and finite, got {self.dt}")
-        if self.values.size < 2:
-            raise InvalidInputError("a path needs at least two samples")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidInputError("path values must be finite")
+        object.__setattr__(self, "values", _validated_values(self.t0, self.dt, self.values, 1))
 
     @property
     def n_steps(self) -> int:
@@ -90,6 +92,44 @@ class SampledPath:
 
     def with_values(self, values) -> "SampledPath":
         return SampledPath(self.t0, self.dt, values)
+
+
+@dataclass(frozen=True)
+class PathBundle:
+    """n paths on one uniform grid, stored as the rows of one matrix.
+
+    values[i, k] is path i at t0 + k*dt.  The matrix is validated once, as a
+    whole, and kept without copying (a transposed view stays a view).
+    `len`, indexing and iteration give `SampledPath` views of single rows.
+    """
+
+    t0: float
+    dt: float
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _validated_values(self.t0, self.dt, self.values, 2))
+
+    @classmethod
+    def of(cls, paths) -> "PathBundle":
+        """`paths` itself if it is a bundle, else its paths (one shared grid) stacked as rows."""
+        if isinstance(paths, PathBundle):
+            return paths
+        require_same_grid(*paths)
+        return cls(paths[0].t0, paths[0].dt, np.stack([p.values for p in paths]))
+
+    @property
+    def n_steps(self) -> int:
+        return self.values.shape[1] - 1
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i: int) -> SampledPath:
+        return SampledPath(self.t0, self.dt, self.values[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def grids_match(a: SampledPath, b: SampledPath) -> bool:

@@ -53,6 +53,23 @@ def test_config_errors_exit_one(tmp_path, sim_config, capsys):
     assert "bogus" in err
 
 
+def test_threads_option_is_gone(tmp_path, sim_config, capsys):
+    assert run(["simulate", "--config", sim_config, "--out", str(tmp_path), "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_memory_error_exits_one_with_a_message(tmp_path, sim_config, capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(1000000, 10001) and data type float64")
+
+    monkeypatch.setattr("inertbarrier.cli.simulate", exhausted)
+    assert run(["simulate", "--config", sim_config, "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "74.5 GiB" in err
+    assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path, sim_config, capsys):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["simulate", "--config", sim_config, "--out", str(out1), "--quiet"]) == 0
