@@ -205,9 +205,12 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_gamma_rate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
+    v0 = config_float(cfg, "v0", 0.0)
+    if v0 > 0:
+        raise InvalidInputError(f"the refinement bound holds only for v0 <= 0, got v0 = {v0}")
     rows = gamma_rate_study(
         K=config_float(cfg, "K", 1.0),
-        v0=config_float(cfg, "v0", 0.0),
+        v0=v0,
         n=config_int(cfg, "n", 8),
         T=config_float(cfg, "T", 1.0),
         seed=args.seed,

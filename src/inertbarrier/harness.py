@@ -106,6 +106,7 @@ def hydro_convergence(
             traj = simulate(replace(base, n=n, seed=replicate_seed(seed, r)))
             w1[r] = wp_vs_density(snapshot(traj, base.T), density_T, p=1)
             gap[r] = float(np.max(np.abs(traj.barrier.y.values - y_lim)))
+            del traj  # free this replicate's paths before the next simulate
         rows.append(
             HydroRow(
                 n=n, mean_w1=float(w1.mean()), sd_w1=float(w1.std(ddof=1)),

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .particles import InitialDistribution, SimConfig
 
@@ -43,7 +45,8 @@ def _write_rows(path, header: str, rows) -> None:
 
 
 def _write_columns(path, header: str, *cols) -> None:
-    _write_rows(path, header, ([_fmt(v) for v in row] for row in zip(*cols)))
+    cols = [np.asarray(c, dtype=np.float64).tolist() for c in cols]
+    _write_rows(path, header, (map(repr, row) for row in zip(*cols)))
 
 
 def write_trajectory(path, traj) -> None:
@@ -56,24 +59,22 @@ def write_trajectory(path, traj) -> None:
 
 def write_snapshot(path, t: float, measure) -> None:
     """Header t,atom_index,position; atom_index is 1-based over sorted atoms."""
-
-    def rows():
-        for idx, pos in enumerate(measure.atoms, start=1):
-            yield [_fmt(t), str(idx), _fmt(pos)]
-
-    _write_rows(path, "t,atom_index,position", rows())
+    ts = _fmt(t)
+    rows = ((ts, str(idx), repr(pos)) for idx, pos in enumerate(measure.atoms.tolist(), start=1))
+    _write_rows(path, "t,atom_index,position", rows)
 
 
 def write_density_field(path, field) -> None:
-    """Long-format header t,x,u; x is the barrier-frame offset grid."""
+    """Long-format header t,x,u; x is the barrier-frame offset grid.
 
-    def rows():
-        for ti, t in enumerate(field.times):
-            row_u = field.u[ti]
-            for xi, x in enumerate(field.x_grid):
-                yield [_fmt(t), _fmt(x), _fmt(row_u[xi])]
-
-    _write_rows(path, "t,x,u", rows())
+    Each x and each t is formatted once; one write per time row keeps memory flat.
+    """
+    xs = [repr(x) for x in field.x_grid.tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,x,u\n")
+        for t, row_u in zip(field.times.tolist(), field.u):
+            ts = repr(t)
+            fh.write("".join([f"{ts},{x},{u!r}\n" for x, u in zip(xs, row_u.tolist())]))
 
 
 def write_field_barrier(path, field) -> None:

@@ -7,9 +7,13 @@ Two independent solvers for the limiting barrier:
       v(t) = v0 - K * mean_j sup_{u<=t} max(-(xi_j + B_j(u) - y(u)), 0),
       y(t) = integral_0^t v,
 
-  with common random numbers (paths regenerated from the seed each sweep,
-  so memory stays bounded).  The map contracts on windows shorter than
-  sqrt(2/K); windows of length 0.9*sqrt(2/K) are chained by restart.
+  with common random numbers.  The map contracts on windows shorter than
+  sqrt(2/K); windows of length 0.9*sqrt(2/K) are chained by restart.  Each
+  path keeps a checkpoint at the start of the current window (its stream
+  state, B and its running regulator), so a sweep draws only the window's
+  steps, chunk by chunk into one reused buffer.  A converged window ends
+  with one commit pass against the final barrier, which gives m_mean there
+  and moves the checkpoints to the window's end.
 
 * `solve_limit_pde` evolves the density in the frame attached to the
   barrier, u(t, x) = p(t, x + y(t)) for x >= 0:
@@ -35,7 +39,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError
-from .particles import InitialDistribution, driver_chunks
+from .particles import DriverCheckpoints, InitialDistribution
 from .paths import SampledPath, uniform_grid
 from .wasserstein import GridDensity
 
@@ -129,15 +133,28 @@ class ConsistencyReport:
 
 
 def _mean_regulator_sweep(
-    y: np.ndarray, init: InitialDistribution, M: int, nsteps: int, dt: float, seed, chunk: int
+    y: np.ndarray, drivers: DriverCheckpoints, M: int, nsteps: int, reg: np.ndarray,
+    buf: np.ndarray, chunk: int, advance: bool = False,
 ) -> np.ndarray:
-    """mean_j over M paths of the running regulator against barrier y."""
+    """mean_j over M paths of the running regulator against barrier y on steps k..k+nsteps.
+
+    `drivers` resume at step k, y holds the barrier on steps k..k+nsteps and
+    reg[j] is path j's running regulator at step k, which stands in for
+    column 0.  Each chunk of paths is drawn into the front of `buf`.  With
+    advance=True, `drivers` and `reg` move on to step k+nsteps.
+    """
     total = np.zeros(nsteps + 1)
-    for _, _, f in driver_chunks(init, seed, M, nsteps, dt, chunk):
+    for lo in range(0, M, chunk):
+        hi = min(M, lo + chunk)
+        f = buf[: (hi - lo) * (nsteps + 1)].reshape(hi - lo, nsteps + 1)
+        drivers.window(lo, hi, nsteps, f, advance)
         np.subtract(y[None, :], f, out=f)
         np.maximum(f, 0.0, out=f)
+        f[:, 0] = reg[lo:hi]
         np.maximum.accumulate(f, axis=1, out=f)
         total += np.add.reduce(f, axis=0)
+        if advance:
+            reg[lo:hi] = f[:, -1]
     return total / M
 
 
@@ -192,9 +209,10 @@ def solve_limit_mc(
     Returns
     -------
     LimitBarrier
-        With v = v0 - K * m_mean recomputed against the final barrier by one
-        uncounted closing sweep; iterations counts the Picard updates and
-        residual is the sup-change of the last one.
+        With v = v0 - K * m_mean against the final barrier: each converged
+        window's m_mean comes from an uncounted commit pass, which also
+        moves the paths' checkpoints to the window's end.  iterations counts
+        the Picard updates and residual is the sup-change of the last one.
     """
     if not (np.isfinite(K) and K >= 0):
         raise InvalidInputError(f"K must be >= 0, got {K}")
@@ -218,18 +236,21 @@ def solve_limit_mc(
     if abs(y[0]) > 0:
         raise InvalidInputError("initial guess must start at y(0) = 0")
 
+    windows = _window_bounds(nsteps, dt, K)
+    drivers = DriverCheckpoints(init, seed, M, dt)
+    reg = np.zeros(M)  # running regulators at the start of the current window
+    buf = np.empty(min(chunk, M) * (max(k1 - k0 for k0, k1 in windows) + 1))
+    m_mean = np.empty(nsteps + 1)
     iterations = 0
     residual = 0.0
-    for k0, k1 in _window_bounds(nsteps, dt, K):
+    for k0, k1 in windows:
         prev_resid = math.inf
         for _ in range(max_iter):
-            m_mean = _mean_regulator_sweep(y, init, M, nsteps, dt, seed, chunk)
+            m_win = _mean_regulator_sweep(y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk)
             iterations += 1
-            v = v0 - K * m_mean
+            v = v0 - K * m_win
             y_new = y.copy()
-            y_new[k0 + 1 : k1 + 1] = y[k0] + np.cumsum(
-                0.5 * dt * (v[k0:k1] + v[k0 + 1 : k1 + 1])
-            )
+            y_new[k0 + 1 : k1 + 1] = y[k0] + np.cumsum(0.5 * dt * (v[:-1] + v[1:]))
             residual = float(np.max(np.abs(y_new[k0 : k1 + 1] - y[k0 : k1 + 1])))
             if residual > prev_resid:
                 y = 0.5 * (y + y_new)  # damp oscillating updates
@@ -244,9 +265,12 @@ def solve_limit_mc(
                 f"residual {residual:.3e} > tol {tol:.3e} after {max_iter} sweeps",
                 residual=residual,
             )
+        # Commit: m_mean against the final barrier on this window; the
+        # checkpoints move to k1 for the next one.
+        m_mean[k0 : k1 + 1] = _mean_regulator_sweep(
+            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk, advance=True
+        )
 
-    # Close the loop: report m_mean and v coupled to the final barrier.
-    m_mean = _mean_regulator_sweep(y, init, M, nsteps, dt, seed, chunk)
     v = v0 - K * m_mean
     return LimitBarrier(
         y=SampledPath(0.0, dt, y),

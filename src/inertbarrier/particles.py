@@ -4,8 +4,10 @@ Randomness contract: the stream for particle i is derived deterministically
 from (seed, i) via `numpy.random.SeedSequence` spawn keys, so a particle's
 driver path does not depend on n, on the other particles, or on how work is
 scheduled.  Identical configs produce bitwise-identical trajectories.  This
-module is the only one that draws from those streams; the mean-field solver
-takes its Monte Carlo drivers from `driver_chunks`.
+module is the only one that builds or draws from those streams.  The
+uncoupled evaluators take fresh drivers from `driver_chunks`; the mean-field
+Picard solver holds a `DriverCheckpoints`, which builds each stream once per
+solve and afterwards resumes it from a packed generator state.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ __all__ = [
     "sample_brownian",
     "sample_initial",
     "driver_chunks",
+    "DriverCheckpoints",
     "simulate",
     "snapshot",
     "mean_regulator_uncoupled",
@@ -170,14 +173,32 @@ class ParticleSystemTrajectory:
     m: PathBundle
 
 
-def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float) -> np.ndarray:
-    """Brownian paths for particles lo..hi-1: shape (hi-lo, nsteps+1), B(0) = 0."""
-    out = np.empty((hi - lo, nsteps + 1))
-    out[:, 0] = 0.0
+def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, out=None):
+    """Brownian paths of particles lo..hi-1 over nsteps steps: shape (hi-lo, nsteps+1).
+
+    Each path starts at B(0) = 0 on a fresh stream, unless `start` =
+    (streams, b) continues it: hi-lo generators that have drawn the first k
+    normals, and the values B(k).  The cumulative sum then runs on from B(k)
+    in column 0, so column j holds B(k+j) as one long draw gives it.  The
+    paths are written into `out` when it is given.
+    """
+    if out is None:
+        out = np.empty((hi - lo, nsteps + 1))
     sq = np.sqrt(dt)
-    for row, i in enumerate(range(lo, hi)):
-        z = particle_stream(seed, i).standard_normal(nsteps)
-        np.cumsum(z * sq, out=out[row, 1:])
+    if start is None:
+        out[:, 0] = 0.0
+        for row, i in enumerate(range(lo, hi)):
+            z = particle_stream(seed, i).standard_normal(nsteps)
+            np.cumsum(z * sq, out=out[row, 1:])
+        return out
+    streams, out[:, 0] = start
+    # `streams` goes first in zip, so it also runs on after the last path
+    # (a stream can save its state then).
+    for g, row in zip(streams, out):
+        z = row[1:]
+        g.standard_normal(out=z)
+        z *= sq
+        np.add.accumulate(row, out=row)
     return out
 
 
@@ -233,6 +254,62 @@ def driver_chunks(init: InitialDistribution, seed, n: int, nsteps: int, dt: floa
         f = _brownian_chunk(seed, lo, hi, nsteps, dt)
         f += _initial_chunk(init, seed, lo, hi)[:, None]
         yield lo, hi, f
+
+
+_WORD = (1 << 64) - 1
+
+
+def _pack_state(bitgen) -> tuple[int, int, int, int]:
+    """PCG64 state and increment as four 64-bit words, high word first.
+
+    Normal draws take whole 64-bit outputs, so the generator's buffered
+    32-bit half stays empty and these four words are its whole state.
+    """
+    st = bitgen.state["state"]
+    return st["state"] >> 64, st["state"] & _WORD, st["inc"] >> 64, st["inc"] & _WORD
+
+
+class DriverCheckpoints:
+    """Drivers f_i = xi_i + B_i of particles 0..n-1 that resume at a common step k.
+
+    Per particle it keeps xi_i, B_i(k) and the PCG64 state of its Brownian
+    stream after k normals, packed in four uint64: 48 bytes.  Each stream is
+    built once, at k = 0.  `window` draws steps k..k+nsteps from the
+    checkpoint as often as asked, and with advance=True moves it to
+    k+nsteps.  The values equal those of `driver_chunks` over the same steps.
+    """
+
+    def __init__(self, init: InitialDistribution, seed, n: int, dt: float):
+        self.seed, self.dt = seed, dt
+        self.xi = sample_initial(init, n, seed)
+        self.b = np.zeros(n)
+        self.state = np.empty((n, 4), dtype=np.uint64)
+        for i in range(n):
+            self.state[i] = _pack_state(particle_stream(seed, i).bit_generator)
+        # Every draw restores a checkpointed state into this one generator first.
+        self._gen = np.random.Generator(np.random.PCG64(0))
+
+    def _streams(self, lo: int, hi: int, advance: bool):
+        bitgen = self._gen.bit_generator
+        for i, (sh, sl, ih, il) in enumerate(self.state[lo:hi].tolist(), start=lo):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield self._gen
+            if advance:
+                self.state[i] = _pack_state(bitgen)
+
+    def window(self, lo: int, hi: int, nsteps: int, out: np.ndarray, advance: bool = False):
+        """f of particles lo..hi-1 on steps k..k+nsteps, written into out (hi-lo, nsteps+1)."""
+        start = (self._streams(lo, hi, advance), self.b[lo:hi])
+        f = _brownian_chunk(self.seed, lo, hi, nsteps, self.dt, start, out)
+        if advance:
+            self.b[lo:hi] = f[:, -1]
+        f += self.xi[lo:hi, None]
+        return f
 
 
 def simulate(config: SimConfig) -> ParticleSystemTrajectory:

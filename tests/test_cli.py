@@ -246,6 +246,15 @@ def test_gamma_rate_small_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gamma_rate_positive_v0_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "g.cfg", "n = 2\nK = 1.0\nv0 = 0.5\nT = 1.0\n")
+    out = tmp_path / "out"
+    assert run(["gamma-rate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "only for v0 <= 0" in err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert run(["selftest", "--quiet"]) == 0
     assert capsys.readouterr().err == ""
