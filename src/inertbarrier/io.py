@@ -37,11 +37,15 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_rows(path, header: str, rows) -> None:
+def _write_blocks(path, header: str, blocks) -> None:
+    """The header line, then each ready-made text block, one write per block."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(blocks)
+
+
+def _write_rows(path, header: str, rows) -> None:
+    _write_blocks(path, header, (",".join(row) + "\n" for row in rows))
 
 
 def _write_columns(path, header: str, *cols) -> None:
@@ -70,11 +74,11 @@ def write_density_field(path, field) -> None:
     Each x and each t is formatted once; one write per time row keeps memory flat.
     """
     xs = [repr(x) for x in field.x_grid.tolist()]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,u\n")
-        for t, row_u in zip(field.times.tolist(), field.u):
-            ts = repr(t)
-            fh.write("".join([f"{ts},{x},{u!r}\n" for x, u in zip(xs, row_u.tolist())]))
+    blocks = (
+        "".join([f"{ts},{x},{u!r}\n" for x, u in zip(xs, row_u.tolist())])
+        for ts, row_u in zip(map(repr, field.times.tolist()), field.u)
+    )
+    _write_blocks(path, "t,x,u", blocks)
 
 
 def write_field_barrier(path, field) -> None:

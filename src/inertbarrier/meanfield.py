@@ -161,8 +161,8 @@ def _mean_regulator_sweep(
 def _window_bounds(nsteps: int, dt: float, K: float) -> list[tuple[int, int]]:
     if K == 0.0:
         return [(0, nsteps)]
-    w = WINDOW_SAFETY * math.sqrt(2.0 / K)
-    steps = max(1, min(nsteps, int(math.floor(w / dt))))
+    w = WINDOW_SAFETY * math.sqrt(2.0 / K)  # inf when K is subnormal
+    steps = max(1, math.floor(min(w / dt, nsteps)))
     bounds = []
     k0 = 0
     while k0 < nsteps:
@@ -195,6 +195,8 @@ def solve_limit_mc(
         Barrier parameters and grid.
     M : int
         Number of Monte Carlo paths (common random numbers across sweeps).
+        Each path's checkpoint and running regulator hold 56 bytes, so
+        memory grows with M on top of one chunk x window buffer.
     seed
         Path j's stream depends only on (seed, j).
     tol : float

@@ -182,19 +182,13 @@ def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, 
     in column 0, so column j holds B(k+j) as one long draw gives it.  The
     paths are written into `out` when it is given.
     """
+    if start is None:
+        start = ((particle_stream(seed, i) for i in range(lo, hi)), 0.0)
     if out is None:
         out = np.empty((hi - lo, nsteps + 1))
-    sq = np.sqrt(dt)
-    if start is None:
-        out[:, 0] = 0.0
-        for row, i in enumerate(range(lo, hi)):
-            z = particle_stream(seed, i).standard_normal(nsteps)
-            np.cumsum(z * sq, out=out[row, 1:])
-        return out
     streams, out[:, 0] = start
-    # `streams` goes first in zip, so it also runs on after the last path
-    # (a stream can save its state then).
-    for g, row in zip(streams, out):
+    sq = np.sqrt(dt)
+    for row, g in zip(out, streams):
         z = row[1:]
         g.standard_normal(out=z)
         z *= sq
@@ -290,8 +284,15 @@ class DriverCheckpoints:
         self._gen = np.random.Generator(np.random.PCG64(0))
 
     def _streams(self, lo: int, hi: int, advance: bool):
+        """The shared generator, restored to each checkpoint of lo..hi-1 in turn.
+
+        With advance=True, restoring path i first saves path i-1's state;
+        `window` saves the last one.
+        """
         bitgen = self._gen.bit_generator
         for i, (sh, sl, ih, il) in enumerate(self.state[lo:hi].tolist(), start=lo):
+            if advance and i > lo:
+                self.state[i - 1] = _pack_state(bitgen)
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
@@ -299,14 +300,13 @@ class DriverCheckpoints:
                 "uinteger": 0,
             }
             yield self._gen
-            if advance:
-                self.state[i] = _pack_state(bitgen)
 
     def window(self, lo: int, hi: int, nsteps: int, out: np.ndarray, advance: bool = False):
         """f of particles lo..hi-1 on steps k..k+nsteps, written into out (hi-lo, nsteps+1)."""
         start = (self._streams(lo, hi, advance), self.b[lo:hi])
         f = _brownian_chunk(self.seed, lo, hi, nsteps, self.dt, start, out)
         if advance:
+            self.state[hi - 1] = _pack_state(self._gen.bit_generator)
             self.b[lo:hi] = f[:, -1]
         f += self.xi[lo:hi, None]
         return f

@@ -140,6 +140,13 @@ def test_short_windows_equal_full_horizon_reference(steps, init):
     assert_same_solve(init, -0.5, K, 12, DT, 25, 3, 1e-3, 40, None, 7)
 
 
+def test_subnormal_K_gives_one_window():
+    # 2 / K overflows to inf, so the window is the whole horizon
+    assert _window_bounds(40, DT, 5e-324) == [(0, 40)]
+    assert assert_same_solve(InitialDistribution.delta(0.0), 0.0, 5e-324, 2, DT, 1, 0, 1e-3, 12,
+                             None, 1) == "converged"
+
+
 def test_several_windows_and_chunks_equal_full_horizon_reference():
     # two windows like the T = 2 solve, four chunks with a short last one
     outcome = assert_same_solve(InitialDistribution.delta(0.0), 0.0, 1.0, 200, DT, 700, 5,
