@@ -87,6 +87,36 @@ init.kind = half_normal
 init.params = 1.0
 """
 
+# Upwind advection: |c|*dx > 1 on this grid, for c > 0 and for c < 0.
+LIMIT_PDE_UPWIND_RIGHT = """\
+T = 0.05
+dt_pde = 1e-4
+dx = 1e-2
+K = 1.0
+v0 = 150.0
+init.kind = exponential
+init.params = 2.0
+"""
+
+LIMIT_PDE_UPWIND_LEFT = """\
+T = 0.05
+dt_pde = 1e-4
+dx = 1e-2
+K = 0.5
+v0 = -150.0
+init.kind = uniform
+init.params = 0.5, 1.0
+"""
+
+DENSITY_UPWIND = """\
+T = 0.05
+dt_pde = 1e-4
+dx = 1e-2
+v0 = 150.0
+init.kind = half_normal
+init.params = 1.0
+"""
+
 HYDRO = """\
 n = 100
 T = 0.25
@@ -139,6 +169,18 @@ CASES = {
     "density-half-normal": ("density", DENSITY_HALF_NORMAL, 0, {
         "barrier.csv": "4f21515cf3c2652badaf6a5396981ec32c4734cccb1c8f6c86d26a1d89e2c626",
         "density.csv": "fd7177b655f517e676c9300240e42e03fa3d1c3d3fb8deadf711df8d078c7d58",
+    }),
+    "limit-pde-upwind-right": ("limit-pde", LIMIT_PDE_UPWIND_RIGHT, 0, {
+        "barrier_pde.csv": "0b97358d51380558f10ac8b4da35784174fbbe77e289c29a7c6000064951e0b5",
+        "density.csv": "d66dc643a3368d35c0df5e814471f1c1a02becfe29c06b1b957e8456c0e270a9",
+    }),
+    "limit-pde-upwind-left": ("limit-pde", LIMIT_PDE_UPWIND_LEFT, 0, {
+        "barrier_pde.csv": "92f3fd3238319d2d0e78d37b31518bc5e23b2e53a089dc6f4ec3bd6a2c49ecc7",
+        "density.csv": "eaa78cf9e48c07fb9e59eb52efadf4c8d7a34db33ce48546c398c680def91387",
+    }),
+    "density-upwind": ("density", DENSITY_UPWIND, 0, {
+        "barrier.csv": "4e708813f8fb32172c65f3d613bc26af4a5ae774ee5781179ae370f062e3868b",
+        "density.csv": "643b5152ff28aedca044cff940b8e2dfc02e46a0dfce0c52defcb96470499e23",
     }),
     "hydro": ("hydro", HYDRO, 2, {
         "hydro.csv": "789ca4921ab0eeef9a1160fc0fa4c045fa06f5a32a1428cbedfb70e516a175ed",
