@@ -21,18 +21,16 @@ from .io import (
     init_from_dict,
     load_config,
     sim_config_from_dict,
-    write_chaos_table,
     write_density_field,
     write_field_barrier,
-    write_hydro_table,
     write_limit_barrier,
-    write_rate_table,
     write_snapshot,
+    write_table,
     write_trajectory,
 )
 from .meanfield import consistency_check, density_fixed_barrier, solve_limit_mc, solve_limit_pde
 from .particles import simulate, snapshot
-from .paths import SampledPath
+from .paths import SampledPath, uniform_grid
 
 __all__ = ["run", "main"]
 
@@ -151,9 +149,8 @@ def _cmd_limit_pde(args) -> int:
 def _cmd_density(args) -> int:
     cfg = _require_config(args)
     kwargs = _pde_args(cfg)
-    v0 = config_float(cfg, "v0")
-    nsteps = round(kwargs["T"] / kwargs["dt_pde"])
-    g = SampledPath(0.0, kwargs["dt_pde"], v0 * kwargs["dt_pde"] * np.arange(nsteps + 1))
+    v0, dt = config_float(cfg, "v0"), kwargs["dt_pde"]
+    g = SampledPath(0.0, dt, v0 * dt * np.arange(uniform_grid(kwargs["T"], dt) + 1))
     field = density_fixed_barrier(g, **kwargs)
     dens_path = _outpath(args, "density.csv")
     barr_path = _outpath(args, "barrier.csv")
@@ -172,10 +169,10 @@ def _cmd_hydro(args) -> int:
         reps=config_int(cfg, "reps"),
         seed=args.seed,
         dx=config_float(cfg, "dx", 5e-3),
-        dt_pde=config_float(cfg, "dt_pde", 0.0) or None,
+        dt_pde=config_float(cfg, "dt_pde") if "dt_pde" in cfg else None,
     )
     path = _outpath(args, "hydro.csv")
-    write_hydro_table(path, rows)
+    write_table(path, rows)
     for r in rows:
         _say(args, f"n={r.n}: W1 {r.mean_w1:.4f} (sd {r.sd_w1:.4f}), "
                    f"supY gap {r.mean_sup_gap:.4f} (sd {r.sd_sup_gap:.4f})")
@@ -196,7 +193,7 @@ def _cmd_chaos(args) -> int:
         seed=args.seed,
     )
     path = _outpath(args, "chaos.csv")
-    write_chaos_table(path, rows)
+    write_table(path, rows)
     for r in rows:
         _say(args, f"n={r.n}: corr {r.corr:+.4f} (ci {r.ci_halfwidth:.4f})")
     _say(args, f"wrote {path}")
@@ -216,7 +213,7 @@ def _cmd_gamma_rate(args) -> int:
         seed=args.seed,
     )
     path = _outpath(args, "gamma_rate.csv")
-    write_rate_table(path, rows)
+    write_table(path, rows)
     bad = [r.level for r in rows if r.gap > r.bound]
     for r in rows:
         _say(args, f"level {r.level}: gap {r.gap:.3e} bound {r.bound:.3e}")

@@ -222,7 +222,11 @@ def refinement_bound(norm_f_sum: float, n: int, K: float, T: float, eps: float) 
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    return (2.0 + K) * norm_f_sum / n * eps * math.exp(K * T)
+    try:
+        growth = math.exp(K * T)
+    except OverflowError:  # K*T beyond log(float max), about 709.78
+        growth = math.inf
+    return (2.0 + K) * norm_f_sum / n * eps * growth
 
 
 def velocity_envelope(barrier: BarrierTrajectory, m, x) -> tuple[float, float]:

@@ -5,7 +5,9 @@ deterministic computation reproduces every file byte for byte.
 """
 from __future__ import annotations
 
+import math
 import os
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -18,9 +20,7 @@ __all__ = [
     "write_density_field",
     "write_field_barrier",
     "write_limit_barrier",
-    "write_hydro_table",
-    "write_chaos_table",
-    "write_rate_table",
+    "write_table",
     "parse_config",
     "load_config",
     "config_float",
@@ -91,30 +91,15 @@ def write_limit_barrier(path, barrier) -> None:
     _write_columns(path, "t,y,v", barrier.y.times, barrier.y.values, barrier.v.values)
 
 
-def write_hydro_table(path, rows) -> None:
+def write_table(path, rows) -> None:
+    """One line per dataclass row under a header of its field names.
+
+    Ints are written with str and floats with repr.  rows must not be empty.
+    """
     _write_rows(
         path,
-        "n,mean_w1,sd_w1,mean_sup_gap,sd_sup_gap",
-        (
-            [str(r.n), _fmt(r.mean_w1), _fmt(r.sd_w1), _fmt(r.mean_sup_gap), _fmt(r.sd_sup_gap)]
-            for r in rows
-        ),
-    )
-
-
-def write_chaos_table(path, rows) -> None:
-    _write_rows(
-        path,
-        "n,corr,ci_halfwidth",
-        ([str(r.n), _fmt(r.corr), _fmt(r.ci_halfwidth)] for r in rows),
-    )
-
-
-def write_rate_table(path, rows) -> None:
-    _write_rows(
-        path,
-        "level,eps,gap,bound",
-        ([str(r.level), _fmt(r.eps), _fmt(r.gap), _fmt(r.bound)] for r in rows),
+        ",".join(f.name for f in fields(rows[0])),
+        ([str(v) if isinstance(v, int) else _fmt(v) for v in astuple(r)] for r in rows),
     )
 
 
@@ -170,8 +155,15 @@ def _convert(cfg: dict[str, str], key: str, conv, default=None):
         raise InvalidInputError(f"config key {key!r}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def config_float(cfg, key, default=None) -> float:
-    return _convert(cfg, key, float, default)
+    return _convert(cfg, key, _finite, default)
 
 
 def config_int(cfg, key, default=None) -> int:

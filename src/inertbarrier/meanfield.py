@@ -22,9 +22,10 @@ Two independent solvers for the limiting barrier:
       y'' = -(K/2) u(t, 0),              y(0) = 0, y'(0) = v0.
 
   Crank-Nicolson in time; space is discretized in flux form, where the
-  boundary condition is exactly a zero-flux wall, so the trapezoidal mass
-  is conserved to rounding.  Dirac initial data is mollified by the exact
-  reflected heat kernel run to t = 10*dt_pde.
+  boundary condition is exactly a zero-flux wall.  The far node x_max keeps
+  its initial value, so the trapezoidal mass is conserved to rounding only
+  while no mass reaches it and no undershoot is clipped.  Dirac initial data
+  is mollified by the exact reflected heat kernel run to t = 10*dt_pde.
 
 `density_fixed_barrier` is the same stepper with a prescribed barrier and
 no feedback; `consistency_check` measures how well a density field solves
@@ -40,7 +41,7 @@ from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError
 from .particles import DriverCheckpoints, InitialDistribution
-from .paths import SampledPath, uniform_grid
+from .paths import MAX_SAMPLES, SampledPath, uniform_grid
 from .wasserstein import GridDensity
 
 __all__ = [
@@ -216,11 +217,11 @@ def solve_limit_mc(
         moves the paths' checkpoints to the window's end.  iterations counts
         the Picard updates and residual is the sup-change of the last one.
     """
-    if not (np.isfinite(K) and K >= 0):
-        raise InvalidInputError(f"K must be >= 0, got {K}")
+    if not (np.isfinite(K) and K >= 0 and np.isfinite(v0)):
+        raise InvalidInputError(f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}")
     if M < 1:
         raise InvalidInputError("M must be >= 1")
-    if tol <= 0 or max_iter < 1:
+    if not (tol > 0) or max_iter < 1:
         raise InvalidInputError("need tol > 0 and max_iter >= 1")
     nsteps = uniform_grid(T, dt)
     times = dt * np.arange(nsteps + 1)
@@ -288,57 +289,45 @@ def solve_limit_mc(
 # ---------------------------------------------------------------------------
 
 
-def _operator_diagonals(c: float, J: int, dx: float):
-    """Tridiagonal generator A(c) of the frame equation in flux form.
+def _operator_coefficients(c: float, dx: float) -> tuple[float, float, float, float, float]:
+    """Tridiagonal generator A(c) of the frame equation in flux form, as five numbers.
 
     Row j of A is (F_{j+1/2} - F_{j-1/2}) / cell_volume with flux
-    F = u_x/2 + c*u; the wall flux F(0) vanishes by the boundary condition,
-    and node J is pinned to zero (far Dirichlet).  The advection part is
-    centered unless the cell Peclet number 2*|c|*dx exceeds 2.
+    F = u_x/2 + c*u.  Returns the interior row (lower, diag, upper) and row 0
+    (diag0, upper0), where the wall flux F(0) vanishes by the boundary
+    condition.  Row J is zero, so the far node keeps its initial value.  The
+    advection part is centered unless the cell Peclet number 2*|c|*dx exceeds 2.
     """
-    lower = np.empty(J + 1)  # A[j, j-1], entry 0 unused
-    diag = np.empty(J + 1)
-    upper = np.empty(J + 1)  # A[j, j+1], entry J unused
     inv2 = 1.0 / (2.0 * dx * dx)
     invd = 1.0 / (dx * dx)
-
     if abs(c) * dx <= 1.0:  # centered advection
         adv = c / (2.0 * dx)
-        lower[:] = inv2 - adv
-        diag[:] = -invd
-        upper[:] = inv2 + adv
-        diag[0] = -invd + c / dx
-        upper[0] = invd + c / dx
-    elif c > 0.0:  # upwind, advected state from the right
-        lower[:] = inv2
-        diag[:] = -invd - c / dx
-        upper[:] = inv2 + c / dx
-        diag[0] = -invd
-        upper[0] = invd + 2.0 * c / dx
-    else:
-        lower[:] = inv2 - c / dx
-        diag[:] = -invd + c / dx
-        upper[:] = inv2
-        diag[0] = -invd + 2.0 * c / dx
-        upper[0] = invd
-    lower[0] = 0.0
-    # Far boundary: leave u_J untouched (it starts and stays at 0).
-    lower[J] = 0.0
-    diag[J] = 0.0
-    upper[J] = 0.0
-    return lower, diag, upper
+        return inv2 - adv, -invd, inv2 + adv, -invd + c / dx, invd + c / dx
+    if c > 0.0:  # upwind, advected state from the right
+        return inv2, -invd - c / dx, inv2 + c / dx, -invd, invd + 2.0 * c / dx
+    return inv2 - c / dx, -invd + c / dx, inv2, -invd + 2.0 * c / dx, invd
 
 
 def _cn_step(u: np.ndarray, c: float, dt: float, dx: float, ab: np.ndarray) -> np.ndarray:
-    J = u.size - 1
-    lower, diag, upper = _operator_diagonals(c, J, dx)
-    rhs = u + 0.5 * dt * (diag * u)
-    rhs[:-1] += 0.5 * dt * upper[:-1] * u[1:]
-    rhs[1:] += 0.5 * dt * lower[1:] * u[:-1]
-    # banded layout for (I - dt/2 A)
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
+    """Solve (I - h*A) u_new = (I + h*A) u with h = dt/2 and A = A(c).
+
+    Entry j of the right-hand side is u_j + h*(diag*u_j), then
+    + (h*upper)*u_{j+1}, then + (h*lower)*u_{j-1}, in that order.  `ab` is
+    the (3, J+1) band storage, filled in place.
+    """
+    lower, diag, upper, diag0, upper0 = _operator_coefficients(c, dx)
+    h = 0.5 * dt
+    rhs = u * diag
+    rhs[0], rhs[-1] = diag0 * u[0], 0.0 * u[-1]
+    rhs *= h
+    rhs += u
+    rhs[0] += (h * upper0) * u[1]
+    rhs[1:-1] += (h * upper) * u[2:]
+    rhs[1:-1] += (h * lower) * u[:-2]
+    rhs[-1] += (h * 0.0) * u[-2]
+    ab[0, 1], ab[0, 2:] = -h * upper0, -h * upper
+    ab[1, 0], ab[1, 1:-1], ab[1, -1] = 1.0 - h * diag0, 1.0 - h * diag, 1.0 - h * 0.0
+    ab[2, :-2], ab[2, -2] = -h * lower, -h * 0.0
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
 
 
@@ -368,27 +357,28 @@ class _FrameStepper:
     """
 
     def __init__(self, init, T: float, dt_pde: float, dx: float, x_max, barrier_span: float):
+        if not (dx > 0 and np.isfinite(dx)):
+            raise InvalidInputError("dx must be positive")
+        if not (0 < dt_pde <= dx * dx * (1 + 1e-9)):
+            raise InvalidInputError(
+                f"dt_pde must satisfy 0 < dt_pde <= dx^2 = {dx*dx:.3e}, got {dt_pde}"
+            )
+        self.nsteps = uniform_grid(T, dt_pde)
         if x_max is None:
             extent = init.upper_extent() if isinstance(init, InitialDistribution) else (
                 float(init.x_grid[-1])
             )
             x_max = extent + 6.0 * math.sqrt(T) + barrier_span
-        if not (dx > 0 and np.isfinite(dx)):
-            raise InvalidInputError("dx must be positive")
-        if not (0 < dt_pde <= dx * dx * (1 + 1e-9)):
-            raise InvalidInputError(
-                f"dt_pde={dt_pde} must satisfy dt_pde <= dx^2 = {dx*dx:.3e}"
-            )
-        if not (x_max > dx):
-            raise InvalidInputError("x_max must exceed dx")
-        self.nsteps = uniform_grid(T, dt_pde)
+        if not (x_max > dx and float(x_max) / dx < MAX_SAMPLES):
+            raise InvalidInputError(f"x_max must exceed dx and give fewer than "
+                                    f"{MAX_SAMPLES:.3g} nodes, got x_max = {x_max:.6g}")
         self.dt = dt_pde
         self.dx = dx
         self.J = int(round(x_max / dx))
         self.x = dx * np.arange(self.J + 1)
         self.weights = _trapezoid_weights(self.J, dx)
         self.stride = _pick_stride(self.nsteps)
-        self.ab = np.empty((3, self.J + 1))
+        self.ab = np.zeros((3, self.J + 1))  # solve_banded checks the unused corners too
         self.min_u = 0.0
         self.clip_events = 0
         self.mass_drift = 0.0
@@ -567,8 +557,8 @@ def solve_limit_pde(
     DensityField
         With about STORE_TARGET stored time slices.
     """
-    if not (np.isfinite(K) and K >= 0):
-        raise InvalidInputError(f"K must be >= 0, got {K}")
+    if not (np.isfinite(K) and K >= 0 and np.isfinite(v0)):
+        raise InvalidInputError(f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}")
     stepper = _FrameStepper(init, T, dt_pde, dx, x_max, abs(v0) * T)
     return stepper.run(_FreeBoundary(v0, K, stepper))
 

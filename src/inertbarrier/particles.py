@@ -241,12 +241,14 @@ def driver_chunks(init: InitialDistribution, seed, n: int, nsteps: int, dt: floa
     """Drivers f_i = xi_i + B_i of particles 0..n-1, `chunk` particles at a time.
 
     Yields (lo, hi, f) with f of shape (hi-lo, nsteps+1) holding particles
-    lo..hi-1.  Each f is a fresh array the caller may overwrite.
+    lo..hi-1.  Each f is a fresh array the caller may overwrite.  The n
+    initial positions are drawn once, before the first chunk.
     """
+    xi = sample_initial(init, n, seed)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         f = _brownian_chunk(seed, lo, hi, nsteps, dt)
-        f += _initial_chunk(init, seed, lo, hi)[:, None]
+        f += xi[lo:hi, None]
         yield lo, hi, f
 
 

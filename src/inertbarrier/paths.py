@@ -8,6 +8,7 @@ resamples silently.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ from .errors import InvalidInputError
 
 # Relative slack when comparing grid descriptors (t0, dt) of two paths.
 GRID_RTOL = 1e-9
+
+# Most float64 values one array can hold.
+MAX_SAMPLES = sys.maxsize // 8
 
 
 def _validated_values(t0, dt, values, ndim: int) -> np.ndarray:
@@ -163,6 +167,8 @@ def uniform_grid(T: float, dt: float) -> int:
         raise InvalidInputError(f"horizon T must be positive, got {T}")
     if not (np.isfinite(dt) and 0 < dt <= T):
         raise InvalidInputError(f"dt must satisfy 0 < dt <= T, got {dt}")
+    if not T / dt < MAX_SAMPLES:
+        raise InvalidInputError(f"T/dt = {T / dt:.3g} steps is more than an array can hold")
     n = round(T / dt)
     if abs(T / dt - n) > 1e-9 * max(1, n):
         raise InvalidInputError(f"T={T} is not an integer multiple of dt={dt}")

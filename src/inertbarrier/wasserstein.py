@@ -112,9 +112,6 @@ class GridDensity:
         q = np.where(u <= 0.0, x[0], q)
         return np.where(u >= 1.0, x[-1], q)
 
-    def mean(self) -> float:
-        return float(np.trapezoid(self.weights * self.x_grid, dx=self.dx))
-
 
 def _check_order(p: float) -> float:
     if not (np.isfinite(p) and p >= 1):

@@ -224,6 +224,7 @@ def test_refined_flags_unreachable_tolerance():
 def test_refinement_bound_formula():
     # ((2+K) * norm / n) * eps * e^{KT} = 3 * (2/2) * 0.125 * e
     assert refinement_bound(2.0, 2, 1.0, 1.0, 0.125) == pytest.approx(0.375 * math.e)
+    assert refinement_bound(2.0, 2, 1e308, 1.0, 0.125) == math.inf  # no OverflowError
 
 
 def test_input_validation(rng):

@@ -70,6 +70,42 @@ def test_memory_error_exits_one_with_a_message(tmp_path, sim_config, capsys, mon
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
 
+PDE_KEYS = {"T": "0.05", "dt_pde": "1e-4", "dx": "1e-2", "K": "1.0", "v0": "0.5",
+            "init.kind": "exponential", "init.params": "2.0"}
+MC_KEYS = {"T": "0.25", "dt": "0.015625", "K": "0.5", "v0": "0.0", "M": "200",
+           "init.kind": "delta", "init.params": "0.0"}
+HYDRO_KEYS = {"n": "20", "T": "0.25", "dt": "0.0078125", "K": "1.0", "v0": "0.0",
+              "init.kind": "delta", "init.params": "0.5", "n_list": "20", "reps": "2",
+              "dx": "2e-2"}
+BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "hydro": HYDRO_KEYS}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("density", "dt_pde", "0"),
+    ("density", "dt_pde", "nan"),
+    ("density", "T", "inf"),
+    ("density", "T", "-1"),
+    ("density", "x_max", "inf"),
+    ("density", "v0", "inf"),
+    ("density", "v0", "1e308"),
+    ("limit-pde", "x_max", "inf"),
+    ("limit-pde", "x_max", "1e308"),
+    ("limit-pde", "v0", "inf"),
+    ("limit-pde", "T", "-1"),
+    ("limit-mc", "tol", "nan"),
+    ("limit-mc", "v0", "inf"),
+    ("limit-mc", "T", "1e308"),
+    ("limit-mc", "dt", "5e-324"),
+    ("hydro", "dt_pde", "0"),
+])
+def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, key, value):
+    keys = {**BASE_KEYS[command], key: value}
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path, sim_config, capsys):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["simulate", "--config", sim_config, "--out", str(out1), "--quiet"]) == 0

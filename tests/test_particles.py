@@ -13,7 +13,9 @@ from inertbarrier.particles import (
     sample_initial,
     simulate,
     snapshot,
+    uncoupled_positions,
 )
+from inertbarrier.paths import SampledPath
 from inertbarrier.skorohod import reflect_against_barrier
 
 # frozen from the free-boundary solver at dx=5e-3; cross-checked in the
@@ -109,6 +111,21 @@ def test_sample_file_roundtrip(tmp_path):
     bad.write_text("-1.0\n")
     with pytest.raises(InvalidInputError):
         sample_initial(InitialDistribution.from_file(str(bad)), 1, seed=0)
+
+
+def test_chunked_drivers_read_the_sample_file_once(tmp_path, monkeypatch):
+    p = tmp_path / "init.txt"
+    p.write_text("0.5\n" * 10)
+    init = InitialDistribution.from_file(str(p))
+    g = SampledPath(0.0, 0.25, [0.0, -0.25])
+    reads = []
+    file_values = InitialDistribution._file_values
+    monkeypatch.setattr(InitialDistribution, "_file_values",
+                        lambda self: reads.append(1) or file_values(self))
+    assert uncoupled_positions(g, init, 10, seed=0, chunk=4).shape == (10,)
+    assert len(reads) == 1  # three chunks, one read
+    with pytest.raises(InvalidInputError, match="has 10 positions, need 20$"):
+        uncoupled_positions(g, init, 20, seed=0, chunk=8)  # names n, not a chunk's end
 
 
 # --- coupled simulation ----------------------------------------------------
