@@ -144,12 +144,42 @@ reps = 5
 pair = 1, 2
 """
 
+# Long horizons: 4096 particles over 3172 steps span several time blocks of
+# the particle engine plus a shorter remainder; hydro simulates that n too.
+SIMULATE_BLOCKS = """\
+n = 4096
+T = 3.09765625
+dt = 0.0009765625
+K = 1.5
+v0 = 0.75
+init.kind = exponential
+init.params = 2.0
+"""
+
+HYDRO_BLOCKS = """\
+n = 64
+T = 3.09765625
+dt = 0.0009765625
+K = 1.0
+v0 = -0.25
+init.kind = uniform
+init.params = 0.0, 1.0
+n_list = 64, 4096
+reps = 2
+dx = 0.0625
+dt_pde = 0.00390625
+"""
+
 GAMMA_RATE = "n = 3\nK = 1.0\nv0 = -0.25\nT = 1.0\n"
 
 CASES = {
     "simulate": ("simulate", SIMULATE, 5, {
         "snapshot.csv": "ba44f9d3d8417dc6206333417f4634778c52648cb6430a86a9f8a8c27c894aca",
         "trajectory.csv": "3374e42b3996249d2636dd24a290a4cd31689bf3a44b7f1824ecac0f1a89e1a2",
+    }),
+    "simulate-blocks": ("simulate", SIMULATE_BLOCKS, 13, {
+        "snapshot.csv": "63020d7069c232691b55f1248578cbf2108b0bfe74b0a8d74c9211dc1f651388",
+        "trajectory.csv": "759c1c45ba1b1da0d48284f589072a436d5e89ea0bd2b1bbbf3a5f289095ab0c",
     }),
     "limit-mc": ("limit-mc", LIMIT_MC, 3, {
         "barrier_mc.csv": "973058541d329721e5da90e1dbf084ccddbee889790f0b70b2a07039989406c5",
@@ -184,6 +214,9 @@ CASES = {
     }),
     "hydro": ("hydro", HYDRO, 2, {
         "hydro.csv": "789ca4921ab0eeef9a1160fc0fa4c045fa06f5a32a1428cbedfb70e516a175ed",
+    }),
+    "hydro-blocks": ("hydro", HYDRO_BLOCKS, 14, {
+        "hydro.csv": "c65c3c76adca992b53b81eff66edde4b9768289f366e5decb63cad7219b992b2",
     }),
     "chaos": ("chaos", CHAOS, 4, {
         "chaos.csv": "23762c6cfd3f6c683275bded3772080a0e8a42f7243e7f1a31efd8d7402fe776",
