@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .harness import chaos_test, gamma_rate_study, hydro_convergence, invariant_sweep
 from .io import (
+    MAX_EXPORT_PARTICLES,
     config_float,
     config_int,
     config_int_list,
@@ -86,7 +87,7 @@ def _outpath(args, name: str) -> str:
 def _cmd_simulate(args) -> int:
     cfg = _require_config(args)
     sc = sim_config_from_dict(cfg, args.seed)
-    traj = simulate(sc)
+    traj = simulate(sc, keep=MAX_EXPORT_PARTICLES)
     traj_path = _outpath(args, "trajectory.csv")
     snap_path = _outpath(args, "snapshot.csv")
     write_trajectory(traj_path, traj)

@@ -34,6 +34,7 @@ from .paths import PathBundle, SampledPath, require_same_grid
 
 __all__ = [
     "BarrierTrajectory",
+    "BarrierRecursion",
     "GammaResult",
     "solve_gamma",
     "solve_gamma_refined",
@@ -45,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarrierTrajectory:
-    """Barrier position y and velocity v on one grid.
+    """Barrier position y and velocity v on one grid, pushed by n drivers.
 
     v(k) is the velocity in effect on [t_k, t_{k+1}); v is nonincreasing and
     y is the exact integral of that step function, hence concave.
@@ -55,6 +56,7 @@ class BarrierTrajectory:
     v: SampledPath
     impulse_K: float
     v0: float
+    n: int
 
     def __post_init__(self):
         require_same_grid(self.y, self.v)
@@ -85,6 +87,59 @@ class GammaResult:
     tol_reached: bool = True
 
 
+class BarrierRecursion:
+    """The lattice recursion of the coupled map, run over consecutive time blocks.
+
+    n drivers on `nsteps` steps of dt; the velocity is refreshed from the
+    regulators every `stride` steps.  Each `run` takes the drivers of the next
+    block of steps and fills in y, v and that block's regulators.  Blocks of
+    any lengths give the values one block over the whole horizon gives, bit
+    for bit.
+    """
+
+    def __init__(self, n: int, nsteps: int, dt: float, v0: float, K: float, stride: int = 1):
+        self.n, self.dt, self.v0, self.K, self.stride = n, dt, v0, K, stride
+        self.y = np.empty(nsteps + 1)
+        self.y[0] = 0.0
+        self.v = np.empty(nsteps + 1)
+        self.k = 0  # the step that the next block starts at
+        self._slope = v0
+
+    def run(self, ft: np.ndarray, m: np.ndarray) -> None:
+        """Advance over steps k..k+b, given the drivers ft (b+1, n) on them.
+
+        Row j of ft and of m is step k+j, one value per driver.  The
+        regulators are written into m; its row 0 must hold those at step k,
+        except in the first block, where they come from ft[0].  Raises
+        InvalidInputError when the barrier leaves the float64 range.
+        """
+        y, v, dt, v0, k0 = self.y, self.v, self.dt, self.v0, self.k
+        b = ft.shape[0] - 1
+        scale = self.K / self.n
+        slope = self._slope
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k0 == 0:
+                np.maximum(y[0] - ft[0], 0.0, out=m[0])
+            for j, k in enumerate(range(k0, k0 + b)):
+                if k > 0 and k % self.stride == 0:
+                    slope = v0 - scale * float(np.add.reduce(m[j]))
+                y[k + 1] = y[k] + slope * dt
+                np.maximum(m[j], y[k + 1] - ft[j + 1], out=m[j + 1])
+            v[k0 : k0 + b + 1] = v0 - scale * np.add.reduce(m, axis=1)
+        if not (np.all(np.isfinite(y[k0 : k0 + b + 1])) and np.all(np.isfinite(v[k0 : k0 + b + 1]))):
+            raise InvalidInputError(
+                f"barrier values must be finite: v0 = {v0} or K = {self.K} overflows float64"
+            )
+        self._slope, self.k = slope, k0 + b
+
+    def barrier(self, t0: float = 0.0) -> BarrierTrajectory:
+        """The barrier over the whole horizon, once every block has run."""
+        return BarrierTrajectory(
+            y=SampledPath(t0, self.dt, self.y), v=SampledPath(t0, self.dt, self.v),
+            impulse_K=float(self.K), v0=float(self.v0), n=self.n,
+        )
+
+
 def _validate_drivers(f: PathBundle | Sequence[SampledPath]) -> PathBundle:
     if len(f) == 0:
         raise InvalidInputError("need at least one driver path")
@@ -101,6 +156,8 @@ def solve_gamma(
     eps: float | None = None,
 ) -> GammaResult:
     """Run the lattice construction of the coupled barrier map.
+
+    The whole horizon is one block of `BarrierRecursion`.
 
     Parameters
     ----------
@@ -121,8 +178,7 @@ def solve_gamma(
         raise InvalidInputError("v0 must be finite")
     drivers = _validate_drivers(f)
     t0, dt = drivers.t0, drivers.dt
-    n, npts = drivers.values.shape
-    nsteps = npts - 1
+    n, nsteps = len(drivers), drivers.n_steps
 
     if eps is None:
         eps = dt
@@ -135,27 +191,12 @@ def solve_gamma(
     # copy is ours: it becomes the reflected paths in place below.
     ft = np.array(drivers.values.T, order="C")  # (N+1, n)
     m = np.empty_like(ft)
-    y = np.empty(npts)
-    y[0] = 0.0
-    np.maximum(y[0] - ft[0], 0.0, out=m[0])
-
-    scale = K / n
-    slope = v0
-    for k in range(nsteps):
-        if k > 0 and k % stride == 0:
-            slope = v0 - scale * float(np.add.reduce(m[k]))
-        y[k + 1] = y[k] + slope * dt
-        np.maximum(m[k], y[k + 1] - ft[k + 1], out=m[k + 1])
-
-    v = v0 - scale * np.add.reduce(m, axis=1)
+    recursion = BarrierRecursion(n, nsteps, dt, v0, K, stride)
+    recursion.run(ft, m)
     x = np.add(ft, m, out=ft)
-
-    y_path = SampledPath(t0, dt, y)
-    barrier = BarrierTrajectory(
-        y=y_path, v=SampledPath(t0, dt, v), impulse_K=float(K), v0=float(v0)
-    )
     return GammaResult(
-        barrier=barrier, m=PathBundle(t0, dt, m.T), x=PathBundle(t0, dt, x.T), eps_used=eps
+        barrier=recursion.barrier(t0), m=PathBundle(t0, dt, m.T), x=PathBundle(t0, dt, x.T),
+        eps_used=eps,
     )
 
 
@@ -240,8 +281,13 @@ def velocity_envelope(barrier: BarrierTrajectory, m, x) -> tuple[float, float]:
 
     The bound uses only the drivers and the initial velocity: the barrier
     never exceeds the line v0*t, so each regulator is dominated by the
-    deficit against that line.
+    deficit against that line.  It sums over every driver, so m and x must
+    hold all n of them.
     """
+    if not len(m) == len(x) == barrier.n:
+        raise InvalidInputError(
+            f"the velocity envelope needs all {barrier.n} paths, got {len(x)} and {len(m)}"
+        )
     K, v0 = barrier.impulse_K, barrier.v0
     v = barrier.v.values
     y = barrier.y

@@ -103,10 +103,9 @@ def hydro_convergence(
         w1 = np.empty(reps)
         gap = np.empty(reps)
         for r in range(reps):
-            traj = simulate(replace(base, n=n, seed=replicate_seed(seed, r)))
+            traj = simulate(replace(base, n=n, seed=replicate_seed(seed, r)), keep=0)
             w1[r] = wp_vs_density(snapshot(traj, base.T), density_T, p=1)
             gap[r] = float(np.max(np.abs(traj.barrier.y.values - y_lim)))
-            del traj  # free this replicate's paths before the next simulate
         rows.append(
             HydroRow(
                 n=n, mean_w1=float(w1.mean()), sd_w1=float(w1.std(ddof=1)),
@@ -145,7 +144,8 @@ def chaos_test(
         xi_vals = np.empty(reps)
         xj_vals = np.empty(reps)
         for r in range(reps):
-            x_final = simulate(replace(base, n=n, seed=rep_seeds[r])).particles.values[:, -1]
+            traj = simulate(replace(base, n=n, seed=rep_seeds[r]), keep=j)
+            x_final = traj.particles.values[:, -1]
             xi_vals[r] = x_final[i - 1]
             xj_vals[r] = x_final[j - 1]
         corr = float(np.corrcoef(xi_vals, xj_vals)[0, 1])
@@ -218,6 +218,7 @@ _SWEEP_TOL = 1e-9
 
 
 def _check_trajectory(traj, label: str) -> list[str]:
+    traj.require_all_paths("the invariant checks")
     bad = []
     v = traj.barrier.v.values
     y = traj.barrier.y.values

@@ -7,16 +7,18 @@ scheduled.  Identical configs produce bitwise-identical trajectories.  This
 module is the only one that builds or draws from those streams.  The
 uncoupled evaluators take fresh drivers from `driver_chunks`; the mean-field
 Picard solver holds a `DriverCheckpoints`, which builds each stream once per
-solve and afterwards resumes it from a packed generator state.
+solve and afterwards resumes it from a packed generator state.  `simulate`
+keeps every particle's live generator and draws the horizon block by block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .gamma import BarrierTrajectory, solve_gamma
+from .gamma import BarrierRecursion, BarrierTrajectory
 from .paths import PathBundle, SampledPath, uniform_grid
 from .wasserstein import EmpiricalMeasure
 
@@ -39,6 +41,13 @@ _BROWNIAN_BRANCH = 0
 _INITIAL_BRANCH = 1
 
 _INIT_KINDS = ("delta", "uniform", "exponential", "half_normal", "sample_file")
+
+# `simulate` runs the horizon in time blocks of about this many driver values
+# (32 MB in each of its three block buffers), ...
+_BLOCK_VALUES = 1 << 22
+# ... but never of fewer steps than this: each particle's draw call costs
+# about 1.2 us, which short blocks would repeat too often.
+_BLOCK_MIN_STEPS = 64
 
 
 def particle_stream(seed, i: int, branch: int = _BROWNIAN_BRANCH) -> np.random.Generator:
@@ -118,7 +127,7 @@ class InitialDistribution:
         if self.kind == "uniform":
             return self.params[1]
         if self.kind == "exponential":
-            return -np.log(1e-9) / self.params[0]
+            return -math.log(1e-9) / self.params[0]
         if self.kind == "half_normal":
             return 6.2 * self.params[0]
         return float(np.max(self._file_values()))
@@ -165,12 +174,31 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ParticleSystemTrajectory:
-    """Coupled trajectories: particles, their regulators, and the barrier."""
+    """Coupled trajectories: the barrier, every final position, the kept paths.
+
+    particles[i] and m[i] are the path and regulator of particle i, for the
+    leading particles that `simulate` kept (all n unless asked otherwise).
+    final[i] is the position of particle i at T, for all n; it defaults to
+    the last column of particles.
+    """
 
     config: SimConfig
     barrier: BarrierTrajectory
     particles: PathBundle
     m: PathBundle
+    final: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.final is None:
+            object.__setattr__(self, "final", self.particles.values[:, -1])
+
+    def require_all_paths(self, what: str) -> None:
+        """Raise InvalidInputError unless all n paths were kept; `what` needs them."""
+        if len(self.particles) < self.config.n:
+            raise InvalidInputError(
+                f"{what} needs all {self.config.n} particle paths; "
+                f"this trajectory kept {len(self.particles)}"
+            )
 
 
 def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, out=None):
@@ -314,35 +342,73 @@ class DriverCheckpoints:
         return f
 
 
-def simulate(config: SimConfig) -> ParticleSystemTrajectory:
+def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajectory:
     """Run the coupled system on the config grid.
 
     Drivers are f_i = xi_i + B_i; the barrier map is run at its finest
-    lattice (eps = dt).
+    lattice (eps = dt).  The horizon is run in blocks of steps: each block
+    draws the next steps of every particle's stream, and only the barrier,
+    the kept paths and the final positions outlive it.  Memory is about 1 KB
+    of generator state per particle, one block and the kept paths.
 
     Parameters
     ----------
     config : SimConfig
+    keep : int, optional
+        How many leading particles keep their full path and regulator; all
+        n by default.  A trajectory that keeps fewer has no snapshot before
+        T and no velocity envelope.
 
     Returns
     -------
     ParticleSystemTrajectory
-        particles[i] = reflected path of driver i, m[i] its regulator,
-        barrier the shared barrier trajectory.
+        particles[i] = reflected path of driver i, m[i] its regulator, for
+        i < keep; final = every particle's position at T; barrier the shared
+        barrier trajectory.
     """
-    nsteps = config.n_steps
-    xi = sample_initial(config.init, config.n, config.seed)
-    fmat = _brownian_chunk(config.seed, 0, config.n, nsteps, config.dt)
-    fmat += xi[:, None]
-    res = solve_gamma(PathBundle(0.0, config.dt, fmat), config.v0, config.K, eps=config.dt)
+    n, nsteps, dt, seed = config.n, config.n_steps, config.dt, config.seed
+    if keep is None:
+        keep = n
+    if not (isinstance(keep, (int, np.integer)) and keep >= 0):
+        raise InvalidInputError(f"keep must be an integer >= 0, got {keep!r}")
+    keep = min(keep, n)
+    xi = sample_initial(config.init, n, seed)
+    if not np.all(np.isfinite(xi)):
+        raise InvalidInputError("initial positions must be finite")
+    recursion = BarrierRecursion(n, nsteps, dt, config.v0, config.K)
+    block = min(nsteps, max(_BLOCK_MIN_STEPS, _BLOCK_VALUES // n))
+    streams = [particle_stream(seed, i) for i in range(n)]
+    draws = np.empty((n, block + 1))  # B_i on the block's steps, one row per particle
+    ft = np.empty((block + 1, n))  # f on the block's steps, one row per step
+    mt = np.empty((block + 1, n))  # the regulators, likewise
+    x_kept = np.empty((keep, nsteps + 1))
+    m_kept = np.empty((keep, nsteps + 1))
+    b_start = 0.0
+    for k0 in range(0, nsteps, block):
+        b = min(block, nsteps - k0)
+        w = _brownian_chunk(seed, 0, n, b, dt, start=(streams, b_start), out=draws[:, : b + 1])
+        f = np.add(w.T, xi, out=ft[: b + 1])
+        m = mt[: b + 1]
+        recursion.run(f, m)
+        x_kept[:, k0 : k0 + b + 1] = (f[:, :keep] + m[:, :keep]).T
+        m_kept[:, k0 : k0 + b + 1] = m[:, :keep].T
+        b_start = w[:, b]  # read into column 0 before the next block's draws overwrite it
+        mt[0] = m[b]
     return ParticleSystemTrajectory(
-        config=config, barrier=res.barrier, particles=res.x, m=res.m
+        config=config,
+        barrier=recursion.barrier(),
+        particles=PathBundle(0.0, dt, x_kept),
+        m=PathBundle(0.0, dt, m_kept),
+        final=f[b] + m[b],
     )
 
 
 def snapshot(traj: ParticleSystemTrajectory, t: float) -> EmpiricalMeasure:
     """Empirical measure of particle positions at grid time t."""
     k = traj.barrier.y.index_of(t)
+    if k == traj.barrier.y.n_steps:
+        return EmpiricalMeasure.from_samples(traj.final)
+    traj.require_all_paths(f"a snapshot at t = {t} < T")
     return EmpiricalMeasure.from_samples(traj.particles.values[:, k])
 
 

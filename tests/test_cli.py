@@ -1,5 +1,6 @@
 """Exit codes, artifact layout, and byte-stable output of the command line."""
 import os
+import warnings
 
 import pytest
 
@@ -59,7 +60,7 @@ def test_threads_option_is_gone(tmp_path, sim_config, capsys):
 
 
 def test_memory_error_exits_one_with_a_message(tmp_path, sim_config, capsys, monkeypatch):
-    def exhausted(config):
+    def exhausted(config, keep=None):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
                           "(1000000, 10001) and data type float64")
 
@@ -77,7 +78,8 @@ MC_KEYS = {"T": "0.25", "dt": "0.015625", "K": "0.5", "v0": "0.0", "M": "200",
 HYDRO_KEYS = {"n": "20", "T": "0.25", "dt": "0.0078125", "K": "1.0", "v0": "0.0",
               "init.kind": "delta", "init.params": "0.5", "n_list": "20", "reps": "2",
               "dx": "2e-2"}
-BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "hydro": HYDRO_KEYS}
+BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "hydro": HYDRO_KEYS,
+             "simulate": HYDRO_KEYS, "chaos": {**HYDRO_KEYS, "reps": "3"}}
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -97,11 +99,18 @@ BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "h
     ("limit-mc", "T", "1e308"),
     ("limit-mc", "dt", "5e-324"),
     ("hydro", "dt_pde", "0"),
+    ("limit-pde", "init.params", "5e-324"),
+    ("density", "init.params", "5e-324"),
+    ("simulate", "v0", "1e308"),
+    ("chaos", "v0", "1e308"),
+    ("hydro", "v0", "1e308"),
 ])
 def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, key, value):
     keys = {**BASE_KEYS[command], key: value}
     cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be one more line on stderr
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
