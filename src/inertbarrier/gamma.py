@@ -125,8 +125,9 @@ class BarrierRecursion:
                     slope = v0 - scale * float(np.add.reduce(m[j]))
                 y[k + 1] = y[k] + slope * dt
                 np.maximum(m[j], y[k + 1] - ft[j + 1], out=m[j + 1])
-            v[k0 : k0 + b + 1] = v0 - scale * np.add.reduce(m, axis=1)
-        if not (np.all(np.isfinite(y[k0 : k0 + b + 1])) and np.all(np.isfinite(v[k0 : k0 + b + 1]))):
+            block = slice(k0, k0 + b + 1)
+            v[block] = v0 - scale * np.add.reduce(m, axis=1)
+        if not (np.all(np.isfinite(y[block])) and np.all(np.isfinite(v[block]))):
             raise InvalidInputError(
                 f"barrier values must be finite: v0 = {v0} or K = {self.K} overflows float64"
             )

@@ -71,7 +71,9 @@ def bits(a) -> bytes:
     keep=st.one_of(st.none(), st.integers(0, 15)),
     seed=st.integers(0, 2**32),
 )
-def test_blocks_equal_one_full_horizon_block(sample_file, data, block, n, nsteps, K, v0, keep, seed):
+def test_blocks_equal_one_full_horizon_block(
+    sample_file, data, block, n, nsteps, K, v0, keep, seed
+):
     init = data.draw(inits(sample_file))
     cfg = SimConfig(n=n, T=nsteps / 64, dt=1 / 64, K=K, v0=v0, init=init, seed=seed)
     traj = run_with_block(cfg, block, keep)
