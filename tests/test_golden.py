@@ -234,6 +234,25 @@ STREAM_DRAWS = {
     (7, 5, 1): ["0x1.075d5e0b15e6ap+0", "0x1.46aa639372347p-1", "-0x1.19c6f36384a83p-1"],
     (2**63 + 11, 3, 0): ["-0x1.5624ee4292079p-1", "0x1.63bdbfb8ec0f1p+1", "-0x1.2107c91d5997cp-1"],
     (2**63 + 11, 3, 1): ["-0x1.528a89057449ap+0", "-0x1.82963d9077a2cp-1", "-0x1.26b6988e7a981p+0"],
+    # seeds of one to five 32-bit words, and the largest one-word spawn index
+    (0, 0, 0): ["0x1.92625f321f8d5p-1", "-0x1.d70412e7f5b1ep-1", "0x1.78b965b654f72p+0"],
+    (0, 0, 1): ["0x1.4432802b0e22cp-1", "0x1.b1fe4502bdac4p-2", "0x1.8178ace80e8c6p-3"],
+    (2**32 - 1, 2, 0): ["-0x1.6e59a91e34edap+0", "-0x1.73e8ea1f98428p-2", "-0x1.bfdf389774c9fp-1"],
+    (2**32 - 1, 2, 1): ["0x1.5ee7cc799841ep-2", "-0x1.2c4c3ef7127e0p-2", "0x1.b23e5fae391abp-1"],
+    (2**32, 2, 0): ["0x1.b05a5ab85e201p-3", "-0x1.ee2f60771d84ap-1", "0x1.56910d75758bap+0"],
+    (2**32, 2, 1): ["-0x1.d47f078f7a1c1p-5", "0x1.9546349a825f8p+0", "-0x1.0295c0479a6f5p+0"],
+    (2**64 - 1, 9, 0): ["-0x1.f9ce4a70cc188p-1", "0x1.116db6873efe2p+0", "0x1.465ba560688e3p+0"],
+    (2**64 - 1, 9, 1): ["-0x1.98e35b94cf906p-2", "0x1.f5da774aeeaf6p+0", "0x1.e3018d9cdec4bp-2"],
+    (2**64, 9, 0): ["-0x1.1c04c9d7fbe8ep-1", "0x1.ddc908834c2b8p-2", "0x1.77b88eb19b91ep-2"],
+    (2**64, 9, 1): ["-0x1.930108727226ap-1", "-0x1.698a6f293797dp-3", "0x1.1aca487c8bc4dp+0"],
+    (2**128 + 1, 4, 0): ["-0x1.34fbe4b315be5p+1", "0x1.5847f28c530c3p-3", "-0x1.08dba52e7433bp+0"],
+    (2**128 + 1, 4, 1): ["0x1.db6ca14fdd4c7p-1", "0x1.aa9ed4955c9bfp+0", "-0x1.9fac75ab7a36ep-1"],
+    (7, 2**32 - 1, 0): ["0x1.7219a7db1d7c7p-1", "0x1.02953ce9b1a68p+1", "0x1.0dcd629b162eep-1"],
+    (7, 2**32 - 1, 1): ["-0x1.460cb55ad6879p-5", "-0x1.4f6c6be6f1c7bp+0", "-0x1.e0d55401930dap-1"],
+    (2**128 + 1, 2**32 - 1, 0):
+        ["0x1.f5c4ad20bebbfp-2", "0x1.2117059b41ec8p-1", "0x1.e0ae0f29c6f30p-1"],
+    (2**128 + 1, 2**32 - 1, 1):
+        ["0x1.4a160931f6ac1p+0", "-0x1.2d4626d1fb3ccp+0", "0x1.6a1e4459be21ep+0"],
 }
 
 
