@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="inertbarrier",
@@ -62,7 +69,7 @@ def _build_parser() -> _Parser:
     for name, desc in descriptions.items():
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=0, help="u64 seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="integer seed >= 0 (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser

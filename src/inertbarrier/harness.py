@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .gamma import refinement_bound, solve_gamma, velocity_envelope
 from .meanfield import DensityField, solve_limit_pde
 from .particles import (
@@ -148,7 +148,13 @@ def chaos_test(
             x_final = traj.particles.values[:, -1]
             xi_vals[r] = x_final[i - 1]
             xj_vals[r] = x_final[j - 1]
-        corr = float(np.corrcoef(xi_vals, xj_vals)[0, 1])
+        with np.errstate(all="ignore"):
+            corr = float(np.corrcoef(xi_vals, xj_vals)[0, 1])
+        if not math.isfinite(corr):
+            raise NumericalError(
+                f"correlation at n = {n} is undefined: the final positions of particles "
+                f"{i} and {j} have zero or non-finite spread over {reps} replicates"
+            )
         rows.append(ChaosRow(n=n, corr=corr, ci_halfwidth=1.96 / math.sqrt(reps)))
     return rows
 

@@ -249,12 +249,19 @@ def solve_limit_mc(
     for k0, k1 in windows:
         prev_resid = math.inf
         for _ in range(max_iter):
-            m_win = _mean_regulator_sweep(y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk)
-            iterations += 1
-            v = v0 - K * m_win
-            y_new = y.copy()
-            y_new[k0 + 1 : k1 + 1] = y[k0] + np.cumsum(0.5 * dt * (v[:-1] + v[1:]))
-            residual = float(np.max(np.abs(y_new[k0 : k1 + 1] - y[k0 : k1 + 1])))
+            with np.errstate(over="ignore", invalid="ignore"):
+                m_win = _mean_regulator_sweep(
+                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk
+                )
+                iterations += 1
+                v = v0 - K * m_win
+                y_new = y.copy()
+                y_new[k0 + 1 : k1 + 1] = y[k0] + np.cumsum(0.5 * dt * (v[:-1] + v[1:]))
+                residual = float(np.max(np.abs(y_new[k0 : k1 + 1] - y[k0 : k1 + 1])))
+            if not (np.all(np.isfinite(y_new[k0 : k1 + 1])) and math.isfinite(residual)):
+                raise InvalidInputError(
+                    f"barrier values must be finite: v0 = {v0} or K = {K} overflows float64"
+                )
             if residual > prev_resid:
                 y = 0.5 * (y + y_new)  # damp oscillating updates
             else:

@@ -1,21 +1,26 @@
 """Finite particle system: n reflecting Brownian particles above one barrier.
 
-Randomness contract: the stream for particle i is derived deterministically
-from (seed, i) via `numpy.random.SeedSequence` spawn keys, so a particle's
-driver path does not depend on n, on the other particles, or on how work is
-scheduled.  Identical configs produce bitwise-identical trajectories.  This
-module is the only one that builds or draws from those streams.  The
-uncoupled evaluators take fresh drivers from `driver_chunks`; the mean-field
-Picard solver holds a `DriverCheckpoints`, which builds each stream once per
-solve and afterwards resumes it from a packed generator state.  `simulate`
-keeps every particle's live generator and draws the horizon block by block.
+Randomness contract: the stream for particle i is the generator
+`default_rng(SeedSequence(entropy=seed, spawn_key=(branch, i)))`, for a seed
+>= 0 of any size, so a particle's driver path does not depend on n, on the
+other particles, or on how work is scheduled.  Identical configs produce
+bitwise-identical trajectories.  This module is the only one that builds or
+draws from those streams, and `particle_streams` is its one way to build
+them: it runs SeedSequence's hash over many i at once and seeds each PCG64
+with the resulting words, bit for bit the generator above.  The uncoupled
+evaluators take fresh drivers from `driver_chunks`; the mean-field Picard
+solver holds a `DriverCheckpoints`, which builds each stream once per solve
+and afterwards resumes it from a packed generator state.  `simulate` keeps
+every particle's live generator and draws the horizon block by block.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError
 from .gamma import BarrierRecursion, BarrierTrajectory
@@ -25,6 +30,7 @@ from .wasserstein import EmpiricalMeasure
 __all__ = [
     "InitialDistribution",
     "SimConfig",
+    "particle_streams",
     "ParticleSystemTrajectory",
     "sample_brownian",
     "sample_initial",
@@ -50,9 +56,122 @@ _BLOCK_VALUES = 1 << 22
 _BLOCK_MIN_STEPS = 64
 
 
+# numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool
+# of four 32-bit words, its multiply-xorshift constants, and the words
+# mixed in with each spawn index.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# `particle_streams` hashes this many spawn indices at a time.
+_STREAM_CHUNK = 1024
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of an integer >= 0, as SeedSequence splits it."""
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _entropy_pool(entropy: list) -> list:
+    """SeedSequence's pool from its entropy words, each an int or a uint32 array.
+
+    Ints stay ints until an array word mixes in, so the words that every
+    spawn index shares are hashed once.
+    """
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        value = value ^ hc
+        hc = hc * _MULT_A & _M32
+        value = value * hc & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[j] if j < len(entropy) else 0) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_seeds(pool: list) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) for every index: shape (k, 4), C order."""
+    hc = _INIT_B
+    half = []
+    for j in range(8):
+        value = pool[j % _POOL_SIZE] ^ hc
+        hc = hc * _MULT_B & _M32
+        value = value * hc & _M32
+        half.append((value ^ value >> 16).astype(np.uint64))
+    lo, hi = np.array(half[0::2]), np.array(half[1::2])
+    return np.ascontiguousarray((lo | hi << 32).T)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence that hands PCG64 the four uint64 words it was built with."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):  # all that PCG64.__init__ asks for
+            raise NotImplementedError("only generate_state(4, np.uint64) is supported")
+        return self.words
+
+
+def particle_streams(seed, lo: int, hi: int, branch: int = _BROWNIAN_BRANCH):
+    """Generators of particles lo..hi-1 on one spawn branch, built lazily.
+
+    Each equals `particle_stream(seed, i, branch)` bit for bit.  For a fixed
+    seed and branch only the spawn index i changes among the entropy words,
+    so the words before it are hashed once and the rest of the hash runs as
+    uint32 array operations over up to `_STREAM_CHUNK` indices at a time.
+    Raises InvalidInputError for a seed that is not an integer >= 0.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if not 0 <= lo <= hi <= 1 << 64:
+        raise InvalidInputError(f"need 0 <= lo <= hi <= 2**64, got lo = {lo}, hi = {hi}")
+    run = _uint32_words(seed)
+    # SeedSequence pads the seed's words to the pool size before a spawn key.
+    prefix = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(branch)
+    return _streams(prefix, lo, hi)
+
+
+def _streams(prefix: list[int], lo: int, hi: int):
+    a = lo
+    while a < hi:
+        b = min(hi, a + _STREAM_CHUNK, 1 << 32 if a < 1 << 32 else 1 << 64)
+        i = np.arange(a, b, dtype=np.uint64)
+        index_words = [i & _M32] if a < 1 << 32 else [i & _M32, i >> 32]
+        pool = _entropy_pool(prefix + [w.astype(np.uint32) for w in index_words])
+        for words in _pcg64_seeds(pool):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        a = b
+
+
 def particle_stream(seed, i: int, branch: int = _BROWNIAN_BRANCH) -> np.random.Generator:
     """Independent generator for particle i, a pure function of (seed, i)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(branch, i)))
+    return next(particle_streams(seed, i, i + 1, branch))
 
 
 @dataclass(frozen=True)
@@ -208,19 +327,19 @@ def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, 
     (streams, b) continues it: hi-lo generators that have drawn the first k
     normals, and the values B(k).  The cumulative sum then runs on from B(k)
     in column 0, so column j holds B(k+j) as one long draw gives it.  The
-    paths are written into `out` when it is given.
+    paths are written into `out` when it is given.  Each row takes one
+    draw call; the scaling and the cumulative sum run once over the chunk,
+    row by row in sequence, so the values match a path drawn on its own.
     """
     if start is None:
-        start = ((particle_stream(seed, i) for i in range(lo, hi)), 0.0)
+        start = (particle_streams(seed, lo, hi), 0.0)
     if out is None:
         out = np.empty((hi - lo, nsteps + 1))
     streams, out[:, 0] = start
-    sq = np.sqrt(dt)
     for row, g in zip(out, streams):
-        z = row[1:]
-        g.standard_normal(out=z)
-        z *= sq
-        np.add.accumulate(row, out=row)
+        g.standard_normal(out=row[1:])
+    out[:, 1:] *= np.sqrt(dt)
+    np.add.accumulate(out, axis=1, out=out)
     return out
 
 
@@ -235,8 +354,7 @@ def _initial_chunk(init: InitialDistribution, seed, lo: int, hi: int) -> np.ndar
             )
         return vals[lo:hi].copy()
     out = np.empty(hi - lo)
-    for row, i in enumerate(range(lo, hi)):
-        g = particle_stream(seed, i, branch=_INITIAL_BRANCH)
+    for row, g in enumerate(particle_streams(seed, lo, hi, _INITIAL_BRANCH)):
         if init.kind == "uniform":
             a, b = init.params
             out[row] = a + (b - a) * g.random()
@@ -308,8 +426,8 @@ class DriverCheckpoints:
         self.xi = sample_initial(init, n, seed)
         self.b = np.zeros(n)
         self.state = np.empty((n, 4), dtype=np.uint64)
-        for i in range(n):
-            self.state[i] = _pack_state(particle_stream(seed, i).bit_generator)
+        for i, g in enumerate(particle_streams(seed, 0, n)):
+            self.state[i] = _pack_state(g.bit_generator)
         # Every draw restores a checkpointed state into this one generator first.
         self._gen = np.random.Generator(np.random.PCG64(0))
 
@@ -377,7 +495,7 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
         raise InvalidInputError("initial positions must be finite")
     recursion = BarrierRecursion(n, nsteps, dt, config.v0, config.K)
     block = min(nsteps, max(_BLOCK_MIN_STEPS, _BLOCK_VALUES // n))
-    streams = [particle_stream(seed, i) for i in range(n)]
+    streams = list(particle_streams(seed, 0, n))
     draws = np.empty((n, block + 1))  # B_i on the block's steps, one row per particle
     ft = np.empty((block + 1, n))  # f on the block's steps, one row per step
     mt = np.empty((block + 1, n))  # the regulators, likewise

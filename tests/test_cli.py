@@ -98,6 +98,7 @@ BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "h
     ("limit-mc", "v0", "inf"),
     ("limit-mc", "T", "1e308"),
     ("limit-mc", "dt", "5e-324"),
+    ("limit-mc", "v0", "1e308"),
     ("hydro", "dt_pde", "0"),
     ("limit-pde", "init.params", "5e-324"),
     ("density", "init.params", "5e-324"),
@@ -113,6 +114,17 @@ def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, k
         assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit-mc", "hydro", "chaos", "selftest"])
+def test_negative_seed_exits_one_with_one_line(tmp_path, capsys, command):
+    keys = BASE_KEYS.get(command, {})
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    argv = [command, "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out"), "--quiet"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: argument --seed: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, sim_config, capsys):
@@ -276,6 +288,21 @@ pair = 1, 2
     rows = [line.split(",") for line in lines[1:]]
     assert [int(r[0]) for r in rows] == [4, 8]
     assert all(abs(float(r[1])) <= 1.0 for r in rows)
+
+
+def test_chaos_with_no_spread_exits_two_without_a_table(tmp_path, capsys):
+    # v0 = 1e308 keeps a 4- or 8-particle barrier finite, but every final
+    # position rounds to the same value, so no correlation exists.
+    keys = {**HYDRO_KEYS, "v0": "1e308", "n_list": "4, 8", "reps": "3"}
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["chaos", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: correlation at n = 4 is undefined")
+    assert err.count("\n") == 1
+    assert not (out / "chaos.csv").exists()
 
 
 def test_gamma_rate_small_run(tmp_path, capsys):
