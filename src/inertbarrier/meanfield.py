@@ -253,11 +253,11 @@ def solve_limit_mc(
                 m_win = _mean_regulator_sweep(
                     y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk
                 )
-                iterations += 1
                 v = v0 - K * m_win
                 y_new = y.copy()
                 y_new[k0 + 1 : k1 + 1] = y[k0] + np.cumsum(0.5 * dt * (v[:-1] + v[1:]))
                 residual = float(np.max(np.abs(y_new[k0 : k1 + 1] - y[k0 : k1 + 1])))
+            iterations += 1
             if not (np.all(np.isfinite(y_new[k0 : k1 + 1])) and math.isfinite(residual)):
                 raise InvalidInputError(
                     f"barrier values must be finite: v0 = {v0} or K = {K} overflows float64"

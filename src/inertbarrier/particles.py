@@ -151,27 +151,36 @@ def particle_streams(seed, lo: int, hi: int, branch: int = _BROWNIAN_BRANCH):
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if not 0 <= lo <= hi <= 1 << 64:
         raise InvalidInputError(f"need 0 <= lo <= hi <= 2**64, got lo = {lo}, hi = {hi}")
+    return _hashed_streams(seed, lo, hi, branch)
+
+
+def _hashed_streams(seed: int, lo: int, hi: int, branch: int):
     run = _uint32_words(seed)
     # SeedSequence pads the seed's words to the pool size before a spawn key.
     prefix = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(branch)
-    return _streams(prefix, lo, hi)
-
-
-def _streams(prefix: list[int], lo: int, hi: int):
     a = lo
     while a < hi:
         b = min(hi, a + _STREAM_CHUNK, 1 << 32 if a < 1 << 32 else 1 << 64)
         i = np.arange(a, b, dtype=np.uint64)
         index_words = [i & _M32] if a < 1 << 32 else [i & _M32, i >> 32]
         pool = _entropy_pool(prefix + [w.astype(np.uint32) for w in index_words])
-        for words in _pcg64_seeds(pool):
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        for k, words in enumerate(_pcg64_seeds(pool), start=a):
+            yield particle_stream(seed, k, branch, _words=words)
         a = b
 
 
-def particle_stream(seed, i: int, branch: int = _BROWNIAN_BRANCH) -> np.random.Generator:
-    """Independent generator for particle i, a pure function of (seed, i)."""
-    return next(particle_streams(seed, i, i + 1, branch))
+def particle_stream(
+    seed, i: int, branch: int = _BROWNIAN_BRANCH, *, _words=None
+) -> np.random.Generator:
+    """Independent generator for particle i, a pure function of (seed, i).
+
+    It is `default_rng(SeedSequence(entropy=seed, spawn_key=(branch, i)))`
+    bit for bit.  `particle_streams` passes `_words`, the four uint64 words
+    its batched hash gives for i; without them the hash runs for i alone.
+    """
+    if _words is None:
+        return next(particle_streams(seed, i, i + 1, branch))
+    return np.random.Generator(np.random.PCG64(_SeedWords(_words)))
 
 
 @dataclass(frozen=True)
