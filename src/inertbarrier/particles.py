@@ -57,8 +57,7 @@ _BLOCK_MIN_STEPS = 64
 
 
 # numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool
-# of four 32-bit words, its multiply-xorshift constants, and the words
-# mixed in with each spawn index.
+# of four 32-bit words and its multiply-xorshift constants.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -79,6 +78,7 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
     r = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
     return r ^ r >> 16
 
@@ -86,8 +86,9 @@ def _mix(x, y):
 def _entropy_pool(entropy: list) -> list:
     """SeedSequence's pool from its entropy words, each an int or a uint32 array.
 
-    Ints stay ints until an array word mixes in, so the words that every
-    spawn index shares are hashed once.
+    A spawn key follows at least `_POOL_SIZE` seed words, so the pool is
+    never short of entropy.  Ints stay ints until an array word mixes in,
+    so the words that every spawn index shares are hashed once.
     """
     hc = _INIT_A
 
@@ -98,7 +99,7 @@ def _entropy_pool(entropy: list) -> list:
         value = value * hc & _M32
         return value ^ value >> 16
 
-    pool = [hashmix(entropy[j] if j < len(entropy) else 0) for j in range(_POOL_SIZE)]
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
