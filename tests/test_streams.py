@@ -53,7 +53,7 @@ def test_streams_across_default_batches():
         assert g.bit_generator.state == oracle_state(seed, i, 0)
 
 
-def test_particle_stream_is_one_of_the_batch():
+def test_particle_stream_takes_numpy_integer_seeds():
     for seed in (0, np.uint64(2**63 + 11), np.int32(7)):
         g = particle_stream(seed, 5, 1)
         assert g.bit_generator.state == oracle_state(int(seed), 5, 1)
