@@ -5,13 +5,13 @@ Randomness contract: the stream for particle i is the generator
 >= 0 of any size, so a particle's driver path does not depend on n, on the
 other particles, or on how work is scheduled.  Identical configs produce
 bitwise-identical trajectories.  This module is the only one that builds or
-draws from those streams, and `particle_streams` is its one way to build
-them: it runs SeedSequence's hash over many i at once and seeds each PCG64
-with the resulting words, bit for bit the generator above.  The uncoupled
-evaluators take fresh drivers from `driver_chunks`; the mean-field Picard
-solver holds a `DriverCheckpoints`, which builds each stream once per solve
-and afterwards resumes it from a packed generator state.  `simulate` keeps
-every particle's live generator and draws the horizon block by block.
+draws from those streams, and all of them come from `particle_streams`: it
+runs SeedSequence's hash over many i at once, and `particle_stream` seeds
+each PCG64 with the resulting words, bit for bit the generator above.  The
+uncoupled evaluators take fresh drivers from `driver_chunks`; the mean-field
+Picard solver holds a `DriverCheckpoints`, which builds each stream once per
+solve and afterwards resumes it from a packed generator state.  `simulate`
+keeps every particle's live generator and draws the horizon block by block.
 """
 from __future__ import annotations
 
