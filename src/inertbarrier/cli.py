@@ -175,7 +175,6 @@ def _cmd_hydro(args) -> int:
         base=sim_config_from_dict(cfg, args.seed),
         n_list=config_int_list(cfg, "n_list"),
         reps=config_int(cfg, "reps"),
-        seed=args.seed,
         dx=config_float(cfg, "dx", 5e-3),
         dt_pde=config_float(cfg, "dt_pde") if "dt_pde" in cfg else None,
     )
@@ -198,7 +197,6 @@ def _cmd_chaos(args) -> int:
         pair=(pair[0], pair[1]),
         n_list=config_int_list(cfg, "n_list"),
         reps=config_int(cfg, "reps"),
-        seed=args.seed,
     )
     path = _outpath(args, "chaos.csv")
     write_table(path, rows)

@@ -18,6 +18,7 @@ from .meanfield import DensityField, solve_limit_pde
 from .particles import (
     InitialDistribution,
     SimConfig,
+    check_seed,
     sample_brownian,
     simulate,
     snapshot,
@@ -40,6 +41,7 @@ __all__ = [
 
 def replicate_seed(seed, rep: int) -> int:
     """Deterministic 64-bit seed for replicate rep of a study."""
+    seed = check_seed(seed)
     return int(np.random.SeedSequence(entropy=(seed, rep)).generate_state(1, np.uint64)[0])
 
 
@@ -71,7 +73,6 @@ def hydro_convergence(
     base: SimConfig,
     n_list,
     reps: int,
-    seed=None,
     limit: DensityField | None = None,
     dx: float = 5e-3,
     dt_pde: float | None = None,
@@ -80,16 +81,17 @@ def hydro_convergence(
 
     For each n, over `reps` replicates: the order-1 Wasserstein distance
     between the final empirical measure and the limiting density, and the
-    sup-distance between the simulated and limiting barriers.  The limit is
-    solved once with `solve_limit_pde` (or passed in).
+    sup-distance between the simulated and limiting barriers.  Replicate r
+    runs on `replicate_seed(base.seed, r)`.  The limit is solved once with
+    `solve_limit_pde` (or passed in).
     """
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise InvalidInputError("n_list must name at least one system size")
     if any(b > a for a, b in zip(n_list[1:], n_list)):
         raise InvalidInputError("n_list must be ascending")
     if reps < 2:
         raise InvalidInputError("need reps >= 2 for spread estimates")
-    if seed is None:
-        seed = base.seed
     if limit is None:
         if dt_pde is None:
             dt_pde = dx * dx
@@ -103,7 +105,7 @@ def hydro_convergence(
         w1 = np.empty(reps)
         gap = np.empty(reps)
         for r in range(reps):
-            traj = simulate(replace(base, n=n, seed=replicate_seed(seed, r)), keep=0)
+            traj = simulate(replace(base, n=n, seed=replicate_seed(base.seed, r)), keep=0)
             w1[r] = wp_vs_density(snapshot(traj, base.T), density_T, p=1)
             gap[r] = float(np.max(np.abs(traj.barrier.y.values - y_lim)))
         rows.append(
@@ -120,25 +122,25 @@ def chaos_test(
     pair: tuple[int, int] = (1, 2),
     n_list=(100, 1000, 10000),
     reps: int = 200,
-    seed=None,
 ) -> list[ChaosRow]:
     """Decorrelation of a tagged particle pair as n grows.
 
     Particle labels in `pair` are 1-based.  Within one replicate the same
     initial positions and Brownian drivers are reused for every n (particle
     i's stream does not depend on n), so the rows expose pure system-size
-    effects; replicates refresh all streams.
+    effects; replicate r refreshes all streams from
+    `replicate_seed(base.seed, r)`.
     """
     i, j = int(pair[0]), int(pair[1])
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise InvalidInputError("n_list must name at least one system size")
     if not (1 <= i < j <= min(n_list)):
         raise InvalidInputError(f"pair {pair} must satisfy 1 <= i < j <= min(n_list)")
     if reps < 3:
         raise InvalidInputError("need reps >= 3")
-    if seed is None:
-        seed = base.seed
 
-    rep_seeds = [replicate_seed(seed, r) for r in range(reps)]
+    rep_seeds = [replicate_seed(base.seed, r) for r in range(reps)]
     rows = []
     for n in n_list:
         xi_vals = np.empty(reps)
@@ -275,6 +277,7 @@ def invariant_sweep(num_configs: int = 50, seed=0) -> list[str]:
     above the barrier, nondecreasing regulators, and the velocity-excursion
     envelope.  Returns a list of violation descriptions (empty = pass).
     """
+    seed = check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2**32)))
     violations = []
     for c in range(num_configs):

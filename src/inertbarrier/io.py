@@ -175,32 +175,18 @@ def config_int_list(cfg, key, default=None) -> list[int]:
 
 
 def init_from_dict(cfg: dict[str, str]) -> InitialDistribution:
+    """Initial law of init.kind and init.params (a path for sample_file, else numbers)."""
     kind = cfg.get("init.kind")
     if kind is None:
         raise InvalidInputError("missing config key 'init.kind'")
     params = cfg.get("init.params", "")
     if kind == "sample_file":
-        if not params:
-            raise InvalidInputError("init.kind sample_file needs init.params = <path>")
-        return InitialDistribution.from_file(params)
+        return InitialDistribution(kind, path=params)
     try:
-        values = [float(p) for p in params.split(",")] if params else []
+        values = tuple(float(p) for p in params.split(",")) if params else ()
     except ValueError as exc:
         raise InvalidInputError(f"init.params: {exc}") from exc
-    want = {"delta": 1, "uniform": 2, "exponential": 1, "half_normal": 1}
-    if kind not in want:
-        raise InvalidInputError(f"unknown init.kind {kind!r}")
-    if len(values) != want[kind]:
-        raise InvalidInputError(
-            f"init.kind {kind} needs {want[kind]} value(s) in init.params, got {len(values)}"
-        )
-    if kind == "delta":
-        return InitialDistribution.delta(values[0])
-    if kind == "uniform":
-        return InitialDistribution.uniform(values[0], values[1])
-    if kind == "exponential":
-        return InitialDistribution.exponential(values[0])
-    return InitialDistribution.half_normal(values[0])
+    return InitialDistribution(kind, values)
 
 
 def sim_config_from_dict(cfg: dict[str, str], seed) -> SimConfig:

@@ -67,6 +67,13 @@ CLIP_REPORT_LEVEL = -1e-10
 # Approximate number of time slices a density solver stores.
 STORE_TARGET = 1000
 
+# `consistency_check` calls a field a free-boundary solution below this residual.
+CONSISTENCY_THRESHOLD = 0.02
+
+# A Picard sweep draws this many paths at a time.  The value fixes the order in
+# which the regulators are summed, and with it the last bits of the barrier.
+_SWEEP_CHUNK = 4096
+
 
 def reflected_heat_kernel(t: float, x, x0: float):
     """Density at time t of a Brownian particle from x0 >= 0 reflected at 0."""
@@ -135,18 +142,18 @@ class ConsistencyReport:
 
 def _mean_regulator_sweep(
     y: np.ndarray, drivers: DriverCheckpoints, M: int, nsteps: int, reg: np.ndarray,
-    buf: np.ndarray, chunk: int, advance: bool = False,
+    buf: np.ndarray, advance: bool = False,
 ) -> np.ndarray:
     """mean_j over M paths of the running regulator against barrier y on steps k..k+nsteps.
 
     `drivers` resume at step k, y holds the barrier on steps k..k+nsteps and
     reg[j] is path j's running regulator at step k, which stands in for
-    column 0.  Each chunk of paths is drawn into the front of `buf`.  With
-    advance=True, `drivers` and `reg` move on to step k+nsteps.
+    column 0.  Each chunk of `_SWEEP_CHUNK` paths is drawn into the front of
+    `buf`.  With advance=True, `drivers` and `reg` move on to step k+nsteps.
     """
     total = np.zeros(nsteps + 1)
-    for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
+    for lo in range(0, M, _SWEEP_CHUNK):
+        hi = min(M, lo + _SWEEP_CHUNK)
         f = buf[: (hi - lo) * (nsteps + 1)].reshape(hi - lo, nsteps + 1)
         drivers.window(lo, hi, nsteps, f, advance)
         np.subtract(y[None, :], f, out=f)
@@ -184,7 +191,6 @@ def solve_limit_mc(
     tol: float = 1e-3,
     max_iter: int = 60,
     y_init=None,
-    chunk: int = 4096,
 ) -> LimitBarrier:
     """Fixed point of the sampled mean-field barrier map.
 
@@ -197,7 +203,8 @@ def solve_limit_mc(
     M : int
         Number of Monte Carlo paths (common random numbers across sweeps).
         Each path's checkpoint and running regulator hold 56 bytes, so
-        memory grows with M on top of one chunk x window buffer.
+        memory grows with M on top of one buffer of `_SWEEP_CHUNK` paths
+        over the longest window.
     seed
         Path j's stream depends only on (seed, j).
     tol : float
@@ -242,7 +249,7 @@ def solve_limit_mc(
     windows = _window_bounds(nsteps, dt, K)
     drivers = DriverCheckpoints(init, seed, M, dt)
     reg = np.zeros(M)  # running regulators at the start of the current window
-    buf = np.empty(min(chunk, M) * (max(k1 - k0 for k0, k1 in windows) + 1))
+    buf = np.empty(min(_SWEEP_CHUNK, M) * (max(k1 - k0 for k0, k1 in windows) + 1))
     m_mean = np.empty(nsteps + 1)
     iterations = 0
     residual = 0.0
@@ -251,7 +258,7 @@ def solve_limit_mc(
         for _ in range(max_iter):
             with np.errstate(over="ignore", invalid="ignore"):
                 m_win = _mean_regulator_sweep(
-                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk
+                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf
                 )
                 v = v0 - K * m_win
                 y_new = y.copy()
@@ -278,7 +285,7 @@ def solve_limit_mc(
         # Commit: m_mean against the final barrier on this window; the
         # checkpoints move to k1 for the next one.
         m_mean[k0 : k1 + 1] = _mean_regulator_sweep(
-            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, chunk, advance=True
+            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, advance=True
         )
 
     v = v0 - K * m_mean
@@ -357,13 +364,14 @@ class _FrameStepper:
     A Dirac initial law at c is mollified by the exact reflected kernel run to
     t_mol = k_start*dt_pde (k_start = 10, or the horizon if shorter), which
     assumes the barrier stays near 0 over [0, t_mol]; a law with a density
-    starts at step 0 (u0 is the profile at step k_start).  `run` takes each
-    step's frame velocity from a frame: `_FreeBoundary` or
-    `_PrescribedBarrier`.  x_max defaults to the initial extent + 6*sqrt(T) +
-    barrier_span.
+    starts at step 0 (u0 is the profile at step k_start).  A sample file has
+    no density and is rejected.  `run` takes each step's frame velocity from
+    a frame: `_FreeBoundary` or `_PrescribedBarrier`.  x_max defaults to the
+    initial extent + 6*sqrt(T) + barrier_span.
     """
 
-    def __init__(self, init, T: float, dt_pde: float, dx: float, x_max, barrier_span: float):
+    def __init__(self, init: InitialDistribution, T: float, dt_pde: float, dx: float, x_max,
+                 barrier_span: float):
         if not (dx > 0 and np.isfinite(dx)):
             raise InvalidInputError("dx must be positive")
         if not (0 < dt_pde <= dx * dx * (1 + 1e-9)):
@@ -372,10 +380,7 @@ class _FrameStepper:
             )
         self.nsteps = uniform_grid(T, dt_pde)
         if x_max is None:
-            extent = init.upper_extent() if isinstance(init, InitialDistribution) else (
-                float(init.x_grid[-1])
-            )
-            x_max = extent + 6.0 * math.sqrt(T) + barrier_span
+            x_max = init.upper_extent() + 6.0 * math.sqrt(T) + barrier_span
         if not (x_max > dx and float(x_max) / dx < MAX_SAMPLES):
             raise InvalidInputError(f"x_max must exceed dx and give fewer than "
                                     f"{MAX_SAMPLES:.3g} nodes, got x_max = {x_max:.6g}")
@@ -389,9 +394,8 @@ class _FrameStepper:
         self.min_u = 0.0
         self.clip_events = 0
         self.mass_drift = 0.0
-        is_delta = isinstance(init, InitialDistribution) and init.kind == "delta"
-        self.delta = init.params[0] if is_delta else None
-        self.k_start = min(10, self.nsteps) if is_delta else 0
+        self.delta = init.atom
+        self.k_start = 0 if self.delta is None else min(10, self.nsteps)
         self.u0 = self.monitor(self._initial_density(init))
 
     def monitor(self, u: np.ndarray) -> np.ndarray:
@@ -421,20 +425,11 @@ class _FrameStepper:
         u[-1] = 0.0
         return self.normalize(u)
 
-    def _initial_density(self, init) -> np.ndarray:
+    def _initial_density(self, init: InitialDistribution) -> np.ndarray:
         """Normalized density at step k_start on the frame grid."""
         if self.delta is not None:
             return self.kernel(self.k_start * self.dt)
-        if isinstance(init, GridDensity):
-            u0 = np.interp(self.x, init.x_grid, init.weights, left=0.0, right=0.0)
-            return self.normalize(np.maximum(u0, 0.0))
-        vals = init.density_on_grid(self.x)
-        if vals is None:
-            raise InvalidInputError(
-                f"initial kind {init.kind!r} has no density; the density solvers accept "
-                "delta, uniform, exponential, half_normal, or an explicit GridDensity"
-            )
-        return self.normalize(vals)
+        return self.normalize(init.density_on_grid(self.x))
 
     def run(self, frame) -> DensityField:
         """Step from k_start to the horizon and store every stride-th slice.
@@ -537,7 +532,7 @@ class _PrescribedBarrier:
 
 
 def solve_limit_pde(
-    init,
+    init: InitialDistribution,
     v0: float,
     K: float,
     T: float,
@@ -549,9 +544,10 @@ def solve_limit_pde(
 
     Parameters
     ----------
-    init : InitialDistribution or GridDensity
-        Initial law.  A Dirac is mollified with the exact reflected kernel
-        run to t = 10*dt_pde; laws with a density start at t = 0.
+    init : InitialDistribution
+        Initial law, a delta or a law with a density.  A Dirac is mollified
+        with the exact reflected kernel run to t = 10*dt_pde; laws with a
+        density start at t = 0.
     v0, K, T : float
         Initial barrier velocity, impulse constant, horizon.
     dt_pde, dx : float
@@ -572,7 +568,7 @@ def solve_limit_pde(
 
 def density_fixed_barrier(
     g: SampledPath,
-    init,
+    init: InitialDistribution,
     T: float,
     dt_pde: float,
     dx: float,
@@ -580,10 +576,10 @@ def density_fixed_barrier(
 ) -> DensityField:
     """Density of independent particles reflected above a prescribed barrier.
 
-    Same frame stepper as `solve_limit_pde` but the barrier path g is given
-    (no feedback; the stored impulse constant is 0).  g must start at 0 at
-    time 0 and cover [0, T]; its grid need not match dt_pde.  x_max defaults
-    to initial extent + 6*sqrt(T) + (max g - min g).
+    Same frame stepper and initial laws as `solve_limit_pde` but the barrier
+    path g is given (no feedback; the stored impulse constant is 0).  g must
+    start at 0 at time 0 and cover [0, T]; its grid need not match dt_pde.
+    x_max defaults to initial extent + 6*sqrt(T) + (max g - min g).
     """
     if g.t0 != 0.0 or g.values[0] != 0.0:
         raise InvalidInputError("prescribed barrier must start at g(0) = 0")
@@ -594,17 +590,17 @@ def density_fixed_barrier(
     return stepper.run(_PrescribedBarrier(g, stepper))
 
 
-def consistency_check(field: DensityField, K: float | None = None, threshold: float = 0.02) -> ConsistencyReport:
+def consistency_check(field: DensityField) -> ConsistencyReport:
     """Residual of the coupled law y'(t) = v0 - (K/2) * integral_0^t u(s, 0) ds.
 
-    y' is recomputed from the stored barrier by second-order differences
-    (so the check does not reuse the solver's own velocity bookkeeping) and
-    the boundary integral by the trapezoid rule on the output grid.  Free
-    boundary solutions give residuals of scheme order; a prescribed barrier
-    that does not solve the law is flagged via `free_boundary`.
+    K is the field's `impulse_K`.  y' is recomputed from the stored barrier
+    by second-order differences (so the check does not reuse the solver's
+    own velocity bookkeeping) and the boundary integral by the trapezoid
+    rule on the output grid.  Free boundary solutions give residuals of
+    scheme order; a prescribed barrier that does not solve the law is
+    flagged via `free_boundary`, against `CONSISTENCY_THRESHOLD`.
     """
-    if K is None:
-        K = field.impulse_K
+    K = field.impulse_K
     y = field.y.values
     dt = field.y.dt
     if y.size < 3:
@@ -618,4 +614,4 @@ def consistency_check(field: DensityField, K: float | None = None, threshold: fl
     integ = np.concatenate(([0.0], np.cumsum(0.5 * dt * (u0[1:] + u0[:-1]))))
     v0 = field.yprime.values[0]
     residual = float(np.max(np.abs(dy - (v0 - 0.5 * K * integ))))
-    return ConsistencyReport(max_residual=residual, threshold=threshold)
+    return ConsistencyReport(max_residual=residual, threshold=CONSISTENCY_THRESHOLD)

@@ -30,6 +30,7 @@ from .wasserstein import EmpiricalMeasure
 __all__ = [
     "InitialDistribution",
     "SimConfig",
+    "check_seed",
     "particle_streams",
     "ParticleSystemTrajectory",
     "sample_brownian",
@@ -46,7 +47,15 @@ __all__ = [
 _BROWNIAN_BRANCH = 0
 _INITIAL_BRANCH = 1
 
-_INIT_KINDS = ("delta", "uniform", "exponential", "half_normal", "sample_file")
+# Initial-law kinds: the number of parameters, their range and what the range
+# error says.  sample_file takes a path instead of parameters.
+_INIT_KINDS = {
+    "delta": (1, lambda c: c >= 0, "a location c >= 0"),
+    "uniform": (2, lambda a, b: 0 <= a < b, "0 <= a < b"),
+    "exponential": (1, lambda rate: rate > 0, "rate > 0"),
+    "half_normal": (1, lambda scale: scale > 0, "scale > 0"),
+    "sample_file": (0, None, "a path"),
+}
 
 # `simulate` runs the horizon in time blocks of about this many driver values
 # (32 MB in each of its three block buffers), ...
@@ -54,6 +63,9 @@ _BLOCK_VALUES = 1 << 22
 # ... but never of fewer steps than this: each particle's draw call costs
 # about 1.2 us, which short blocks would repeat too often.
 _BLOCK_MIN_STEPS = 64
+# The uncoupled evaluators draw this many particles at a time.  The value fixes
+# the order in which `mean_regulator_uncoupled` sums the regulators.
+_UNCOUPLED_CHUNK = 2048
 
 
 # numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool
@@ -135,6 +147,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def check_seed(seed) -> int:
+    """seed as an int; InvalidInputError unless it is an integer >= 0."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def particle_streams(seed, lo: int, hi: int, branch: int = _BROWNIAN_BRANCH):
     """Generators of particles lo..hi-1 on one spawn branch, built lazily.
 
@@ -144,12 +167,7 @@ def particle_streams(seed, lo: int, hi: int, branch: int = _BROWNIAN_BRANCH):
     uint32 array operations over up to `_STREAM_CHUNK` indices at a time.
     Raises InvalidInputError for a seed that is not an integer >= 0.
     """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    seed = check_seed(seed)
     if not 0 <= lo <= hi <= 1 << 64:
         raise InvalidInputError(f"need 0 <= lo <= hi <= 2**64, got lo = {lo}, hi = {hi}")
     return _hashed_streams(seed, lo, hi, branch)
@@ -198,23 +216,16 @@ class InitialDistribution:
 
     def __post_init__(self):
         if self.kind not in _INIT_KINDS:
-            raise InvalidInputError(f"unknown initial distribution kind {self.kind!r}")
+            raise InvalidInputError(
+                f"unknown init.kind {self.kind!r}; known kinds: {', '.join(_INIT_KINDS)}"
+            )
+        count, in_range, need = _INIT_KINDS[self.kind]
         p = self.params
-        if self.kind == "delta":
-            if len(p) != 1 or not np.isfinite(p[0]) or p[0] < 0:
-                raise InvalidInputError("delta needs one location c >= 0")
-        elif self.kind == "uniform":
-            if len(p) != 2 or not all(np.isfinite(v) for v in p) or not 0 <= p[0] < p[1]:
-                raise InvalidInputError("uniform needs 0 <= a < b")
-        elif self.kind == "exponential":
-            if len(p) != 1 or not np.isfinite(p[0]) or p[0] <= 0:
-                raise InvalidInputError("exponential needs rate > 0")
-        elif self.kind == "half_normal":
-            if len(p) != 1 or not np.isfinite(p[0]) or p[0] <= 0:
-                raise InvalidInputError("half_normal needs scale > 0")
-        elif self.kind == "sample_file":
-            if not self.path:
-                raise InvalidInputError("sample_file needs a path")
+        if len(p) != count:
+            raise InvalidInputError(f"{self.kind} needs {count} init.params value(s), got {len(p)}")
+        ok = bool(self.path) if count == 0 else all(np.isfinite(p)) and in_range(*p)
+        if not ok:
+            raise InvalidInputError(f"{self.kind} needs {need}")
 
     @classmethod
     def delta(cls, c: float) -> "InitialDistribution":
@@ -249,6 +260,11 @@ class InitialDistribution:
             raise InvalidInputError("sample file positions must be finite and >= 0")
         return vals
 
+    @property
+    def atom(self) -> float | None:
+        """Location of a delta law; None for every other kind."""
+        return self.params[0] if self.kind == "delta" else None
+
     def upper_extent(self) -> float:
         """Finite bound on where the initial mass effectively ends."""
         if self.kind == "delta":
@@ -261,8 +277,8 @@ class InitialDistribution:
             return 6.2 * self.params[0]
         return float(np.max(self._file_values()))
 
-    def density_on_grid(self, x: np.ndarray) -> np.ndarray | None:
-        """Density values at grid points, or None when no density exists."""
+    def density_on_grid(self, x: np.ndarray) -> np.ndarray:
+        """Density values at grid points; InvalidInputError when no density exists."""
         if self.kind == "uniform":
             a, b = self.params
             return ((x >= a) & (x <= b)) / (b - a)
@@ -272,7 +288,10 @@ class InitialDistribution:
         if self.kind == "half_normal":
             s = self.params[0]
             return np.sqrt(2.0 / np.pi) / s * np.exp(-(x**2) / (2 * s**2))
-        return None
+        raise InvalidInputError(
+            f"init.kind {self.kind!r} has no density; the density solvers accept a delta "
+            "or a law with a density"
+        )
 
 
 @dataclass(frozen=True)
@@ -295,6 +314,7 @@ class SimConfig:
             raise InvalidInputError(f"K must be >= 0, got {self.K}")
         if not np.isfinite(self.v0):
             raise InvalidInputError("v0 must be finite")
+        check_seed(self.seed)
 
     @property
     def n_steps(self) -> int:
@@ -307,19 +327,14 @@ class ParticleSystemTrajectory:
 
     particles[i] and m[i] are the path and regulator of particle i, for the
     leading particles that `simulate` kept (all n unless asked otherwise).
-    final[i] is the position of particle i at T, for all n; it defaults to
-    the last column of particles.
+    final[i] is the position of particle i at T, for all n.
     """
 
     config: SimConfig
     barrier: BarrierTrajectory
     particles: PathBundle
     m: PathBundle
-    final: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.final is None:
-            object.__setattr__(self, "final", self.particles.values[:, -1])
+    final: np.ndarray
 
     def require_all_paths(self, what: str) -> None:
         """Raise InvalidInputError unless all n paths were kept; `what` needs them."""
@@ -547,7 +562,6 @@ def mean_regulator_uncoupled(
     seed,
     v0: float = 0.0,
     init: InitialDistribution | None = None,
-    chunk: int = 2048,
 ) -> float:
     """Mean final regulator of n independent particles above the line v0*t.
 
@@ -560,7 +574,7 @@ def mean_regulator_uncoupled(
     nsteps = uniform_grid(T, dt)
     line = v0 * (dt * np.arange(nsteps + 1))
     total = 0.0
-    for _, _, f in driver_chunks(init, seed, n, nsteps, dt, chunk):
+    for _, _, f in driver_chunks(init, seed, n, nsteps, dt, _UNCOUPLED_CHUNK):
         deficit = np.max(line[None, :] - f, axis=1)
         total += float(np.add.reduce(np.maximum(deficit, 0.0)))
     return total / n
@@ -571,7 +585,6 @@ def uncoupled_positions(
     init: InitialDistribution,
     n: int,
     seed,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Final positions of n independent particles reflected above barrier g.
 
@@ -581,7 +594,7 @@ def uncoupled_positions(
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     out = np.empty(n)
-    for lo, hi, f in driver_chunks(init, seed, n, g.n_steps, g.dt, chunk):
+    for lo, hi, f in driver_chunks(init, seed, n, g.n_steps, g.dt, _UNCOUPLED_CHUNK):
         m = np.maximum(np.max(g.values[None, :] - f, axis=1), 0.0)
         out[lo:hi] = f[:, -1] + m
     return out

@@ -192,8 +192,7 @@ def test_criterion_9_empirical_measure_convergence():
     # n = 1e3 -> 1e4 contrast so the barrier-gap column decreases cleanly
     base = SimConfig(n=100, T=1.0, dt=2.5e-4, K=1.0, v0=0.0, init=DELTA0,
                      seed=HYDRO_SEED)
-    rows = hydro_convergence(base, n_list=(100, 1000, 10000), reps=20,
-                             seed=HYDRO_SEED, dx=5e-3)
+    rows = hydro_convergence(base, n_list=(100, 1000, 10000), reps=20, dx=5e-3)
     w1_dec = all(rows[k + 1].mean_w1 <= rows[k].mean_w1 + rows[k + 1].sd_w1
                  for k in range(2))
     gap_dec = all(rows[k + 1].mean_sup_gap <= rows[k].mean_sup_gap + rows[k + 1].sd_sup_gap
@@ -214,12 +213,10 @@ def test_criterion_10_pair_decorrelation():
         return SimConfig(n=100, T=1.0, dt=1e-2, K=K, v0=0.0, init=DELTA0,
                          seed=CHAOS_SEED)
 
-    rows = chaos_test(base(1.0), pair=(1, 2), n_list=(100, 1000, 10000),
-                      reps=200, seed=CHAOS_SEED)
+    rows = chaos_test(base(1.0), pair=(1, 2), n_list=(100, 1000, 10000), reps=200)
     cs = [abs(r.corr) for r in rows]
     coupled_ok = cs[0] > cs[1] > cs[2] and cs[2] <= 0.05
-    control = chaos_test(base(0.0), pair=(1, 2), n_list=(100, 1000, 10000),
-                         reps=200, seed=CHAOS_SEED)
+    control = chaos_test(base(0.0), pair=(1, 2), n_list=(100, 1000, 10000), reps=200)
     control_ok = all(abs(r.corr) <= r.ci_halfwidth for r in control)
     detail = (f"K=1 |corr|=[{cs[0]:.4f}, {cs[1]:.4f}, {cs[2]:.4f}] decreasing, "
               f"last tol 0.05; K=0 within +-{control[0].ci_halfwidth:.4f}: {control_ok}")

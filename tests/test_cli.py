@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from inertbarrier.cli import run
+from inertbarrier.harness import RateRow
 
 
 def write_config(path, text):
@@ -105,6 +106,7 @@ BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "h
     ("simulate", "v0", "1e308"),
     ("chaos", "v0", "1e308"),
     ("hydro", "v0", "1e308"),
+    ("chaos", "pair", "1"),
 ])
 def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, key, value):
     keys = {**BASE_KEYS[command], key: value}
@@ -125,6 +127,15 @@ def test_negative_seed_exits_one_with_one_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: argument --seed: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_exits_one_with_one_line(tmp_path, sim_config, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run(["simulate", "--config", sim_config, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "not a directory\n"
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, sim_config, capsys):
@@ -325,6 +336,26 @@ def test_gamma_rate_positive_v0_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "only for v0 <= 0" in err
     assert not out.exists()
+
+
+def test_gamma_rate_gap_above_bound_exits_two(tmp_path, capsys, monkeypatch):
+    def over_bound(**kw):
+        return [RateRow(level=4, eps=1 / 16, gap=0.1, bound=0.2),
+                RateRow(level=5, eps=1 / 32, gap=0.3, bound=0.2)]
+
+    monkeypatch.setattr("inertbarrier.cli.gamma_rate_study", over_bound)
+    out = tmp_path / "out"
+    assert run(["gamma-rate", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "refinement gap exceeds bound at levels [5]\n"
+    assert len((out / "gamma_rate.csv").read_text().splitlines()) == 3
+
+
+def test_selftest_violations_exit_three(capsys, monkeypatch):
+    found = ["config 0 (...): barrier velocity increased",
+             "config 4 (...): particle 2 crossed the barrier"]
+    monkeypatch.setattr("inertbarrier.cli.invariant_sweep", lambda num_configs, seed: found)
+    assert run(["selftest", "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == found + ["selftest: 2 violation(s)"]
 
 
 def test_selftest_passes(capsys):

@@ -35,6 +35,16 @@ def test_replicate_seed_is_deterministic_and_spread():
     assert replicate_seed(7, 0) != replicate_seed(0, 7)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seeds_must_be_integers_at_least_zero(seed):
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        replicate_seed(seed, 0)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        invariant_sweep(1, seed=seed)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        small_config(seed=seed)
+
+
 # --- refinement-rate study ---------------------------------------------------
 
 
@@ -94,9 +104,9 @@ def test_fitted_decay_rate_geometric_mean():
 
 
 def test_chaos_rows_reproduce_bitwise():
-    base = small_config(K=0.5, T=0.25, dt=1.0 / 32)
-    rows1 = chaos_test(base, pair=(1, 2), n_list=(4, 8), reps=5, seed=9)
-    rows2 = chaos_test(base, pair=(1, 2), n_list=(4, 8), reps=5, seed=9)
+    base = small_config(K=0.5, T=0.25, dt=1.0 / 32, seed=9)
+    rows1 = chaos_test(base, pair=(1, 2), n_list=(4, 8), reps=5)
+    rows2 = chaos_test(base, pair=(1, 2), n_list=(4, 8), reps=5)
     assert rows1 == rows2
     assert [r.n for r in rows1] == [4, 8]
     assert all(abs(r.corr) <= 1.0 for r in rows1)
@@ -104,8 +114,8 @@ def test_chaos_rows_reproduce_bitwise():
 
 def test_chaos_no_feedback_control():
     # independent particles: correlation is pure sampling noise
-    base = small_config(K=0.0, T=0.25, dt=1.0 / 32)
-    (row,) = chaos_test(base, pair=(1, 2), n_list=(2,), reps=40, seed=2)
+    base = small_config(K=0.0, T=0.25, dt=1.0 / 32, seed=2)
+    (row,) = chaos_test(base, pair=(1, 2), n_list=(2,), reps=40)
     assert row.ci_halfwidth == pytest.approx(1.96 / np.sqrt(40))
     assert abs(row.corr) <= row.ci_halfwidth
 
@@ -120,6 +130,8 @@ def test_chaos_validates_pair_and_reps():
         chaos_test(base, pair=(3, 5), n_list=(4, 8), reps=5)
     with pytest.raises(InvalidInputError):
         chaos_test(base, pair=(1, 2), n_list=(4,), reps=2)
+    with pytest.raises(InvalidInputError, match="n_list"):
+        chaos_test(base, pair=(1, 2), n_list=(), reps=5)
 
 
 # --- hydrodynamic convergence ------------------------------------------------
@@ -151,6 +163,8 @@ def test_hydro_validates_inputs():
         hydro_convergence(base, n_list=(1000, 100), reps=3)
     with pytest.raises(InvalidInputError):
         hydro_convergence(base, n_list=(100,), reps=1)
+    with pytest.raises(InvalidInputError, match="n_list"):
+        hydro_convergence(base, n_list=(), reps=2)
 
 
 # --- invariant sweep ---------------------------------------------------------

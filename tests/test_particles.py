@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from inertbarrier import particles
 from inertbarrier.errors import InvalidInputError
 from inertbarrier.particles import (
     InitialDistribution,
@@ -122,10 +123,12 @@ def test_chunked_drivers_read_the_sample_file_once(tmp_path, monkeypatch):
     file_values = InitialDistribution._file_values
     monkeypatch.setattr(InitialDistribution, "_file_values",
                         lambda self: reads.append(1) or file_values(self))
-    assert uncoupled_positions(g, init, 10, seed=0, chunk=4).shape == (10,)
+    monkeypatch.setattr(particles, "_UNCOUPLED_CHUNK", 4)
+    assert uncoupled_positions(g, init, 10, seed=0).shape == (10,)
     assert len(reads) == 1  # three chunks, one read
+    monkeypatch.setattr(particles, "_UNCOUPLED_CHUNK", 8)
     with pytest.raises(InvalidInputError, match="has 10 positions, need 20$"):
-        uncoupled_positions(g, init, 20, seed=0, chunk=8)  # names n, not a chunk's end
+        uncoupled_positions(g, init, 20, seed=0)  # names n, not a chunk's end
 
 
 # --- coupled simulation ----------------------------------------------------
@@ -216,9 +219,10 @@ def test_mean_regulator_statistic_small_scale():
     assert got == pytest.approx(math.sqrt(2 / math.pi), abs=0.05)
 
 
-def test_mean_regulator_matches_direct_simulation():
+def test_mean_regulator_matches_direct_simulation(monkeypatch):
     n, T, dt, seed = 50, 0.5, 1e-2, 31
-    stream = mean_regulator_uncoupled(n=n, T=T, dt=dt, seed=seed, chunk=16)
+    monkeypatch.setattr(particles, "_UNCOUPLED_CHUNK", 16)
+    stream = mean_regulator_uncoupled(n=n, T=T, dt=dt, seed=seed)
     traj = simulate(SimConfig(n=n, T=T, dt=dt, K=0.0, v0=0.0,
                               init=InitialDistribution.delta(0.0), seed=seed))
     direct = np.mean([m.values[-1] for m in traj.m])

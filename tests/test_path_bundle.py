@@ -150,7 +150,7 @@ def test_invariant_checks_name_the_first_offending_path():
     m[[1, 3], -1] = m[[1, 3], -2] - 1.0
     bad = ParticleSystemTrajectory(
         config=cfg, barrier=traj.barrier,
-        particles=PathBundle(0.0, cfg.dt, x), m=PathBundle(0.0, cfg.dt, m),
+        particles=PathBundle(0.0, cfg.dt, x), m=PathBundle(0.0, cfg.dt, m), final=x[:, -1],
     )
     found = _check_trajectory(bad, "doctored")
     assert "doctored: particle 3 crossed the barrier" in found

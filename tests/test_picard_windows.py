@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from inertbarrier import meanfield
 from inertbarrier.errors import ConvergenceError
 from inertbarrier.meanfield import _window_bounds, solve_limit_mc
 from inertbarrier.particles import InitialDistribution, driver_chunks
@@ -62,7 +63,14 @@ def k_for_window(steps: int, dt: float) -> float:
 
 
 def assert_same_solve(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk):
-    kw = dict(tol=tol, max_iter=max_iter, chunk=chunk)
+    """Compare with the reference, both drawing `chunk` paths at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meanfield, "_SWEEP_CHUNK", chunk)
+        return _compare_solves(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk)
+
+
+def _compare_solves(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk):
+    kw = dict(tol=tol, max_iter=max_iter)
     if isinstance(y_init, SampledPath):
         y0 = y_init.values.copy()
     elif callable(y_init):
