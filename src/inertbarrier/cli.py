@@ -86,6 +86,15 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _optional(cfg, **readers) -> dict:
+    """Keyword arguments for the optional keys that cfg sets, each read by its reader.
+
+    A key the config leaves out is not passed, so the library function the
+    subcommand calls applies its own default.
+    """
+    return {key: read(cfg, key) for key, read in readers.items() if key in cfg}
+
+
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -115,8 +124,7 @@ def _cmd_limit_mc(args) -> int:
         dt=config_float(cfg, "dt"),
         M=config_int(cfg, "M"),
         seed=args.seed,
-        tol=config_float(cfg, "tol", 1e-3),
-        max_iter=config_int(cfg, "max_iter", 60),
+        **_optional(cfg, tol=config_float, max_iter=config_int),
     )
     path = _outpath(args, "barrier_mc.csv")
     write_limit_barrier(path, lim)
@@ -126,15 +134,13 @@ def _cmd_limit_mc(args) -> int:
 
 
 def _pde_args(cfg):
-    kwargs = dict(
+    return dict(
         init=init_from_dict(cfg),
         T=config_float(cfg, "T"),
         dt_pde=config_float(cfg, "dt_pde"),
         dx=config_float(cfg, "dx"),
+        **_optional(cfg, x_max=config_float),
     )
-    if "x_max" in cfg:
-        kwargs["x_max"] = config_float(cfg, "x_max")
-    return kwargs
 
 
 def _cmd_limit_pde(args) -> int:
@@ -175,8 +181,7 @@ def _cmd_hydro(args) -> int:
         base=sim_config_from_dict(cfg, args.seed),
         n_list=config_int_list(cfg, "n_list"),
         reps=config_int(cfg, "reps"),
-        dx=config_float(cfg, "dx", 5e-3),
-        dt_pde=config_float(cfg, "dt_pde") if "dt_pde" in cfg else None,
+        **_optional(cfg, dx=config_float, dt_pde=config_float),
     )
     path = _outpath(args, "hydro.csv")
     write_table(path, rows)
@@ -189,14 +194,11 @@ def _cmd_hydro(args) -> int:
 
 def _cmd_chaos(args) -> int:
     cfg = _require_config(args)
-    pair = config_int_list(cfg, "pair", [1, 2])
-    if len(pair) != 2:
-        raise InvalidInputError("pair must be two comma-separated particle labels")
     rows = chaos_test(
         base=sim_config_from_dict(cfg, args.seed),
-        pair=(pair[0], pair[1]),
         n_list=config_int_list(cfg, "n_list"),
         reps=config_int(cfg, "reps"),
+        **_optional(cfg, pair=config_int_list),
     )
     path = _outpath(args, "chaos.csv")
     write_table(path, rows)
@@ -208,15 +210,9 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_gamma_rate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    v0 = config_float(cfg, "v0", 0.0)
-    if v0 > 0:
-        raise InvalidInputError(f"the refinement bound holds only for v0 <= 0, got v0 = {v0}")
     rows = gamma_rate_study(
-        K=config_float(cfg, "K", 1.0),
-        v0=v0,
-        n=config_int(cfg, "n", 8),
-        T=config_float(cfg, "T", 1.0),
         seed=args.seed,
+        **_optional(cfg, K=config_float, v0=config_float, n=config_int, T=config_float),
     )
     path = _outpath(args, "gamma_rate.csv")
     write_table(path, rows)

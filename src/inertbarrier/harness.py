@@ -3,7 +3,9 @@
 Each study returns a list of frozen row objects; rerunning with the same
 arguments reproduces the rows bitwise.  Replicate r of a study derives its
 randomness from entropy (seed, r), so tables are independent of execution
-order.
+order.  The `hydro`, `chaos` and `gamma-rate` subcommands pass an optional
+config key only when the config sets it, so the defaults and input checks
+below are the command line's too.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .gamma import refinement_bound, solve_gamma, velocity_envelope
-from .meanfield import DensityField, solve_limit_pde
+from .meanfield import solve_limit_pde
 from .particles import (
     InitialDistribution,
     SimConfig,
@@ -23,7 +25,6 @@ from .particles import (
     simulate,
     snapshot,
 )
-from .paths import PathBundle
 from .wasserstein import wp_vs_density
 
 __all__ = [
@@ -73,7 +74,6 @@ def hydro_convergence(
     base: SimConfig,
     n_list,
     reps: int,
-    limit: DensityField | None = None,
     dx: float = 5e-3,
     dt_pde: float | None = None,
 ) -> list[HydroRow]:
@@ -83,7 +83,7 @@ def hydro_convergence(
     between the final empirical measure and the limiting density, and the
     sup-distance between the simulated and limiting barriers.  Replicate r
     runs on `replicate_seed(base.seed, r)`.  The limit is solved once with
-    `solve_limit_pde` (or passed in).
+    `solve_limit_pde` on space step dx and time step dt_pde (dx^2 when None).
     """
     n_list = [int(n) for n in n_list]
     if not n_list:
@@ -92,10 +92,9 @@ def hydro_convergence(
         raise InvalidInputError("n_list must be ascending")
     if reps < 2:
         raise InvalidInputError("need reps >= 2 for spread estimates")
-    if limit is None:
-        if dt_pde is None:
-            dt_pde = dx * dx
-        limit = solve_limit_pde(base.init, base.v0, base.K, base.T, dt_pde, dx)
+    if dt_pde is None:
+        dt_pde = dx * dx
+    limit = solve_limit_pde(base.init, base.v0, base.K, base.T, dt_pde, dx)
     density_T = limit.density_at(base.T)
     t_sim = base.dt * np.arange(base.n_steps + 1)
     y_lim = np.interp(t_sim, limit.y.times, limit.y.values)
@@ -125,13 +124,16 @@ def chaos_test(
 ) -> list[ChaosRow]:
     """Decorrelation of a tagged particle pair as n grows.
 
-    Particle labels in `pair` are 1-based.  Within one replicate the same
-    initial positions and Brownian drivers are reused for every n (particle
-    i's stream does not depend on n), so the rows expose pure system-size
-    effects; replicate r refreshes all streams from
-    `replicate_seed(base.seed, r)`.
+    `pair` holds exactly two 1-based particle labels i < j <= min(n_list).
+    Within one replicate the same initial positions and Brownian drivers are
+    reused for every n (particle i's stream does not depend on n), so the
+    rows expose pure system-size effects; replicate r refreshes all streams
+    from `replicate_seed(base.seed, r)`.
     """
-    i, j = int(pair[0]), int(pair[1])
+    pair = tuple(int(p) for p in pair)
+    if len(pair) != 2:
+        raise InvalidInputError(f"pair must name two particle labels, got {pair}")
+    i, j = pair
     n_list = [int(n) for n in n_list]
     if not n_list:
         raise InvalidInputError("n_list must name at least one system size")
@@ -168,29 +170,22 @@ def gamma_rate_study(
     T: float = 1.0,
     levels=range(4, 13),
     seed=0,
-    drivers=None,
 ) -> list[RateRow]:
     """Refinement gaps of the barrier map against the guaranteed bound.
 
     For each level l the gap is the sup-distance between barriers computed
     at lattice widths T*2^-l and T*2^-(l+1); the bound column is
-    `refinement_bound` at eps = T*2^-l.  The bound is proved for v0 <= 0.
-    The drivers are n Brownian paths from 0 unless `drivers(seed)` supplies
-    paths on the finest grid.
+    `refinement_bound` at eps = T*2^-l.  The drivers are n Brownian paths
+    from 0 on the finest grid, drawn from `seed`.  The bound is proved only
+    for v0 <= 0, so a larger v0 is rejected.
     """
+    if not v0 <= 0:
+        raise InvalidInputError(f"the refinement bound holds only for v0 <= 0, got v0 = {v0}")
     levels = sorted(int(l) for l in levels)
     if not levels or levels[0] < 0:
         raise InvalidInputError("levels must be nonnegative integers")
     lmax = levels[-1] + 1
-    dt = T / 2**lmax
-    if drivers is None:
-        f = sample_brownian(n, T, dt, seed)
-    else:
-        f = PathBundle.of(drivers(seed))
-    if f.n_steps != 2**lmax:
-        raise InvalidInputError(
-            f"drivers must live on the fine grid with {2**lmax} steps, got {f.n_steps}"
-        )
+    f = sample_brownian(n, T, T / 2**lmax, seed)
     norm_sum = sum(np.max(np.abs(f.values), axis=1).tolist())  # sup norms, in order
     nf = len(f)
 
@@ -275,8 +270,11 @@ def invariant_sweep(num_configs: int = 50, seed=0) -> list[str]:
 
     Checks per run: nonincreasing velocity, concave barrier, particles
     above the barrier, nondecreasing regulators, and the velocity-excursion
-    envelope.  Returns a list of violation descriptions (empty = pass).
+    envelope.  Returns a list of violation descriptions (empty = pass);
+    num_configs must be at least 1, so an empty list always means checked.
     """
+    if num_configs < 1:
+        raise InvalidInputError(f"num_configs must be >= 1, got {num_configs}")
     seed = check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2**32)))
     violations = []

@@ -142,10 +142,8 @@ def load_config(path) -> dict[str, str]:
         return parse_config(fh.read())
 
 
-def _convert(cfg: dict[str, str], key: str, conv, default=None):
+def _convert(cfg: dict[str, str], key: str, conv):
     if key not in cfg:
-        if default is not None:
-            return default
         raise InvalidInputError(f"missing config key {key!r}")
     try:
         return conv(cfg[key])
@@ -162,16 +160,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def config_float(cfg, key, default=None) -> float:
-    return _convert(cfg, key, _finite, default)
+def config_float(cfg, key) -> float:
+    return _convert(cfg, key, _finite)
 
 
-def config_int(cfg, key, default=None) -> int:
-    return _convert(cfg, key, int, default)
+def config_int(cfg, key) -> int:
+    return _convert(cfg, key, int)
 
 
-def config_int_list(cfg, key, default=None) -> list[int]:
-    return _convert(cfg, key, lambda s: [int(p) for p in s.split(",")], default)
+def config_int_list(cfg, key) -> list[int]:
+    return _convert(cfg, key, lambda s: [int(p) for p in s.split(",")])
 
 
 def init_from_dict(cfg: dict[str, str]) -> InitialDistribution:

@@ -119,20 +119,16 @@ class DensityField:
             weights=self.u[k],
         )
 
-    def boundary_values(self) -> np.ndarray:
-        return self.u[:, 0]
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Residual of the coupled velocity law for a density field."""
 
     max_residual: float
-    threshold: float
 
     @property
     def free_boundary(self) -> bool:
-        return self.max_residual <= self.threshold
+        return self.max_residual <= CONSISTENCY_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +206,12 @@ def solve_limit_mc(
     tol : float
         Convergence threshold on the sup-change of y per Picard sweep.
     max_iter : int
-        Sweep budget per window.
+        Sweep budget per window.  `limit-mc` passes tol and max_iter only
+        when its config sets them, so these defaults are the CLI's too.
     y_init : optional
-        Starting guess: SampledPath on the run grid, a callable t -> y, or
-        None for the free line v0*t (the no-feedback solution, so K = 0
-        converges in a single sweep).
+        Starting guess: a callable t -> y evaluated on the run grid, or None
+        for the free line v0*t (the no-feedback solution, so K = 0 converges
+        in a single sweep).
 
     Returns
     -------
@@ -237,12 +234,8 @@ def solve_limit_mc(
         y = v0 * times
     elif callable(y_init):
         y = np.asarray([y_init(t) for t in times], dtype=np.float64)
-    elif isinstance(y_init, SampledPath):
-        if y_init.n_steps != nsteps or abs(y_init.dt - dt) > 1e-9 * dt or y_init.t0 != 0.0:
-            raise InvalidInputError("y_init grid must match the run grid")
-        y = y_init.values.copy()
     else:
-        raise InvalidInputError("y_init must be None, callable, or a SampledPath")
+        raise InvalidInputError("y_init must be None or a callable t -> y")
     if abs(y[0]) > 0:
         raise InvalidInputError("initial guess must start at y(0) = 0")
 
@@ -610,8 +603,8 @@ def consistency_check(field: DensityField) -> ConsistencyReport:
     dy[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * dt)
     dy[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * dt)
 
-    u0 = field.boundary_values()
+    u0 = field.u[:, 0]
     integ = np.concatenate(([0.0], np.cumsum(0.5 * dt * (u0[1:] + u0[:-1]))))
     v0 = field.yprime.values[0]
     residual = float(np.max(np.abs(dy - (v0 - 0.5 * K * integ))))
-    return ConsistencyReport(max_residual=residual, threshold=CONSISTENCY_THRESHOLD)
+    return ConsistencyReport(max_residual=residual)

@@ -81,19 +81,6 @@ class SampledPath:
             raise InvalidInputError(f"t={t} is not a grid point of this path")
         return ki
 
-    def value_at(self, t: float) -> float:
-        """Piecewise-linear value at any t inside [t0, t_end]."""
-        s = (t - self.t0) / self.dt
-        if s < -1e-12 or s > self.n_steps * (1 + 1e-12):
-            raise InvalidInputError(f"t={t} outside [{self.t0}, {self.t_end}]")
-        s = min(max(s, 0.0), float(self.n_steps))
-        lo = min(int(s), self.n_steps - 1)
-        w = s - lo
-        return float((1.0 - w) * self.values[lo] + w * self.values[lo + 1])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def with_values(self, values) -> "SampledPath":
         return SampledPath(self.t0, self.dt, values)
 

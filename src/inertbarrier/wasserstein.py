@@ -23,9 +23,6 @@ from .errors import InvalidInputError
 # Minimum number of quantile quadrature points in wp_vs_density.
 _MIN_QUAD_POINTS = 1024
 
-# Construction-time normalization must leave the trapezoidal mass this close to 1.
-MASS_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -87,9 +84,6 @@ class GridDensity:
     @property
     def x_grid(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.weights.size)
-
-    def mass(self) -> float:
-        return float(np.trapezoid(self.weights, dx=self.dx))
 
     def cdf_values(self) -> np.ndarray:
         """Trapezoidal CDF at the grid nodes, pinned to end exactly at 1."""

@@ -1,11 +1,13 @@
 """Exit codes, artifact layout, and byte-stable output of the command line."""
+import inspect
 import os
 import warnings
 
 import pytest
 
 from inertbarrier.cli import run
-from inertbarrier.harness import RateRow
+from inertbarrier.harness import RateRow, chaos_test, gamma_rate_study, hydro_convergence
+from inertbarrier.meanfield import solve_limit_mc
 
 
 def write_config(path, text):
@@ -348,6 +350,39 @@ def test_gamma_rate_gap_above_bound_exits_two(tmp_path, capsys, monkeypatch):
     assert run(["gamma-rate", "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == "refinement gap exceeds bound at levels [5]\n"
     assert len((out / "gamma_rate.csv").read_text().splitlines()) == 3
+
+
+# Each subcommand's optional keys, the library function that owns their
+# defaults, and the required keys of a tiny run.  hydro's dt_pde is left out:
+# its default is dx^2, not a value a config can state.  At K = 2 the limit-mc
+# barrier depends on tol: it takes 2, 3 and 4 sweeps at tol 1e-2, 1e-3, 1e-4.
+OPTIONAL_KEYS = {
+    "limit-mc": (solve_limit_mc, ("tol", "max_iter"), {**MC_KEYS, "K": "2.0"}),
+    "hydro": (hydro_convergence, ("dx",),
+              {**{k: v for k, v in HYDRO_KEYS.items() if k != "dx"}, "T": "0.0625"}),
+    "chaos": (chaos_test, ("pair",), {**HYDRO_KEYS, "n_list": "4", "reps": "3"}),
+    "gamma-rate": (gamma_rate_study, ("K", "v0", "n", "T"), {}),
+}
+
+
+def _config_value(value):
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONAL_KEYS))
+def test_omitted_keys_take_the_library_defaults(tmp_path, capsys, command):
+    fn, keys, required = OPTIONAL_KEYS[command]
+    defaults = {key: inspect.signature(fn).parameters[key].default for key in keys}
+    assert None not in defaults.values()
+    outputs = []
+    for name, extra in (("omitted", {}), ("explicit", defaults)):
+        keys_text = {**required, **{k: _config_value(v) for k, v in extra.items()}}
+        cfg = write_config(tmp_path / f"{name}.cfg",
+                           "".join(f"{k} = {v}\n" for k, v in keys_text.items()))
+        out = tmp_path / name
+        assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        outputs.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_selftest_violations_exit_three(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from inertbarrier.errors import InvalidInputError
+from inertbarrier.gamma import refinement_bound, solve_gamma
 from inertbarrier.harness import (
     RateRow,
     chaos_test,
@@ -12,7 +13,6 @@ from inertbarrier.harness import (
     invariant_sweep,
     replicate_seed,
 )
-from inertbarrier.meanfield import solve_limit_pde
 from inertbarrier.particles import InitialDistribution, SimConfig
 from inertbarrier.paths import SampledPath
 
@@ -69,11 +69,14 @@ def test_rate_contact_driver_first_order():
     T, levels = 1.0, range(3, 9)
     nsteps = 2 ** (max(levels) + 1)
     dt = T / nsteps
-
-    def drivers(seed):
-        return [SampledPath(0.0, dt, -dt * np.arange(nsteps + 1))]
-
-    rows = gamma_rate_study(K=1.0, v0=0.0, n=1, T=T, levels=levels, drivers=drivers)
+    f = [SampledPath(0.0, dt, -dt * np.arange(nsteps + 1))]  # sup |f| = 1
+    y = {l: solve_gamma(f, 0.0, 1.0, eps=T / 2**l).barrier.y.values
+         for l in range(levels.start, levels.stop + 1)}
+    rows = [
+        RateRow(level=l, eps=T / 2**l, gap=float(np.max(np.abs(y[l] - y[l + 1]))),
+                bound=refinement_bound(1.0, 1, 1.0, T, T / 2**l))
+        for l in levels
+    ]
     assert all(r.gap > 0 for r in rows)
     assert 0.3 <= fitted_decay_rate(rows) <= 0.7
 
@@ -83,12 +86,9 @@ def test_rate_study_validates_inputs():
         gamma_rate_study(levels=[])
     with pytest.raises(InvalidInputError):
         gamma_rate_study(levels=[-1, 2])
-
-    def coarse(seed):  # wrong grid for levels up to 4
-        return [SampledPath(0.0, 0.25, np.zeros(5))]
-
-    with pytest.raises(InvalidInputError):
-        gamma_rate_study(levels=range(2, 5), drivers=coarse)
+    # the bound is proved only for v0 <= 0
+    with pytest.raises(InvalidInputError, match="only for v0 <= 0"):
+        gamma_rate_study(v0=0.5, levels=range(2, 4))
 
 
 def test_fitted_decay_rate_geometric_mean():
@@ -132,6 +132,10 @@ def test_chaos_validates_pair_and_reps():
         chaos_test(base, pair=(1, 2), n_list=(4,), reps=2)
     with pytest.raises(InvalidInputError, match="n_list"):
         chaos_test(base, pair=(1, 2), n_list=(), reps=5)
+    with pytest.raises(InvalidInputError, match="two particle labels"):
+        chaos_test(base, pair=(1,), n_list=(4,), reps=5)
+    with pytest.raises(InvalidInputError, match="two particle labels"):
+        chaos_test(base, pair=(1, 2, 3), n_list=(4,), reps=5)
 
 
 # --- hydrodynamic convergence ------------------------------------------------
@@ -139,8 +143,7 @@ def test_chaos_validates_pair_and_reps():
 
 def test_hydro_no_feedback_tracks_line():
     base = small_config()
-    limit = solve_limit_pde(base.init, base.v0, base.K, base.T, dt_pde=4e-4, dx=2e-2)
-    rows = hydro_convergence(base, n_list=(200, 2000), reps=4, limit=limit)
+    rows = hydro_convergence(base, n_list=(200, 2000), reps=4, dx=2e-2, dt_pde=4e-4)
     assert [r.n for r in rows] == [200, 2000]
     # K = 0: both barriers are the same straight line
     assert all(r.mean_sup_gap <= 1e-9 for r in rows)
@@ -149,11 +152,10 @@ def test_hydro_no_feedback_tracks_line():
     assert all(r.sd_w1 >= 0 and np.isfinite(r.sd_w1) for r in rows)
 
 
-def test_hydro_reuses_supplied_limit_deterministically():
+def test_hydro_rows_reproduce_bitwise():
     base = small_config()
-    limit = solve_limit_pde(base.init, base.v0, base.K, base.T, dt_pde=4e-4, dx=2e-2)
-    rows1 = hydro_convergence(base, n_list=(100,), reps=3, limit=limit)
-    rows2 = hydro_convergence(base, n_list=(100,), reps=3, limit=limit)
+    rows1 = hydro_convergence(base, n_list=(100,), reps=3, dx=2e-2, dt_pde=4e-4)
+    rows2 = hydro_convergence(base, n_list=(100,), reps=3, dx=2e-2, dt_pde=4e-4)
     assert rows1 == rows2
 
 
@@ -176,3 +178,10 @@ def test_invariant_sweep_clean_on_small_batch():
 
 def test_invariant_sweep_deterministic():
     assert invariant_sweep(4, seed=5) == invariant_sweep(4, seed=5)
+
+
+@pytest.mark.parametrize("num_configs", [0, -1])
+def test_invariant_sweep_needs_a_config(num_configs):
+    # an empty sweep would return [] and read as "no violations"
+    with pytest.raises(InvalidInputError, match="num_configs"):
+        invariant_sweep(num_configs)

@@ -32,12 +32,11 @@ def test_parse_config_rejects_malformed(text, frag):
         parse_config(text)
 
 
-def test_typed_accessors_and_defaults():
+def test_typed_accessors():
     cfg = parse_config("n = 8\nT = 1.5\nn_list = 100, 400,900")
     assert config_int(cfg, "n") == 8
     assert config_float(cfg, "T") == 1.5
     assert config_int_list(cfg, "n_list") == [100, 400, 900]
-    assert config_float(cfg, "tol", 1e-3) == 1e-3
     with pytest.raises(InvalidInputError, match="missing"):
         config_float(cfg, "dt")
     with pytest.raises(InvalidInputError, match="'T'"):

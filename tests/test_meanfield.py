@@ -128,7 +128,7 @@ def test_pde_barrier_concave_and_consistent(pde_field):
 
 def test_pde_density_at_integrates_to_one(pde_field):
     d = pde_field.density_at(1.0)
-    assert d.mass() == pytest.approx(1.0, abs=1e-6)
+    assert np.trapezoid(d.weights, dx=d.dx) == pytest.approx(1.0, abs=1e-6)
     # absolute frame: support starts at the barrier position
     assert d.x0 == pytest.approx(pde_field.y.values[-1])
 
@@ -217,7 +217,7 @@ def test_regulator_mean_growth_matches_boundary_density(pde_field):
     lim = solve_limit_mc(DELTA0, v0=0.0, K=1.0, T=1.0, dt=1e-3, M=20_000, seed=8)
     m_est = -lim.v.values  # v0 = 0, K = 1
     tm = lim.v.times
-    u0 = pde_field.boundary_values()
+    u0 = pde_field.u[:, 0]
     tf = pde_field.y.times
     for t in (0.3, 0.5, 0.7, 0.9):
         h = 0.05

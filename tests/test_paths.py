@@ -17,7 +17,6 @@ def test_basic_accessors():
     assert p.n_steps == 2
     assert p.t_end == pytest.approx(2.0)
     np.testing.assert_allclose(p.times, [1.0, 1.5, 2.0])
-    assert p.sup_norm() == 4.0
 
 
 @pytest.mark.parametrize(
@@ -50,14 +49,6 @@ def test_index_of_snaps_to_grid():
         p.index_of(0.15)
     with pytest.raises(InvalidInputError):
         p.index_of(0.4)  # past the end
-
-
-def test_value_at_interpolates_linearly():
-    p = make_path([0.0, 2.0, 2.0], dt=1.0)
-    assert p.value_at(0.5) == pytest.approx(1.0)
-    assert p.value_at(2.0) == 2.0
-    with pytest.raises(InvalidInputError):
-        p.value_at(2.5)
 
 
 def test_grid_comparison_and_distance():

@@ -18,7 +18,6 @@ from inertbarrier import meanfield
 from inertbarrier.errors import ConvergenceError
 from inertbarrier.meanfield import _window_bounds, solve_limit_mc
 from inertbarrier.particles import InitialDistribution, driver_chunks
-from inertbarrier.paths import SampledPath
 
 
 def _full_sweep(y, init, M, nsteps, dt, seed, chunk):
@@ -71,9 +70,7 @@ def assert_same_solve(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, c
 
 def _compare_solves(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk):
     kw = dict(tol=tol, max_iter=max_iter)
-    if isinstance(y_init, SampledPath):
-        y0 = y_init.values.copy()
-    elif callable(y_init):
+    if callable(y_init):
         y0 = np.asarray([y_init(t) for t in dt * np.arange(nsteps + 1)])
     else:
         y0 = v0 * (dt * np.arange(nsteps + 1))
@@ -116,12 +113,12 @@ def limit_cases(draw, sample_file):
     ]))
     M = draw(st.integers(1, 40))
     chunk = draw(st.sampled_from([1, 3, 7, 16, 4096]))
-    kind = draw(st.sampled_from(["none", "callable", "sampled"]))
+    kind = draw(st.sampled_from(["none", "quadratic", "linear"]))
     a = draw(st.floats(-2.0, 0.5))
-    if kind == "callable":
+    if kind == "quadratic":
         y_init = lambda t: a * t * t  # noqa: E731
-    elif kind == "sampled":
-        y_init = SampledPath(0.0, DT, a * DT * np.arange(nsteps + 1))
+    elif kind == "linear":
+        y_init = lambda t: a * t  # noqa: E731
     else:
         y_init = None
     tol = draw(st.sampled_from([1e-3, 1e-2]))

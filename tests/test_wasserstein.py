@@ -76,7 +76,7 @@ def test_sorted_coupling_beats_arbitrary_pairings(rng):
 
 def test_grid_density_normalizes_and_validates():
     d = GridDensity(0.0, 0.1, np.ones(11) * 7.3)
-    assert d.mass() == pytest.approx(1.0, abs=1e-12)
+    assert np.trapezoid(d.weights, dx=d.dx) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         GridDensity(0.0, 0.1, np.zeros(5))
     with pytest.raises(InvalidInputError):
