@@ -48,6 +48,19 @@ init.kind = delta
 init.params = 0.0
 """
 
+# limit-mc over three Picard windows, (0, 28), (28, 56) and (56, 64), each
+# with several sweeps; M = 5000 again spans two chunks.
+LIMIT_MC_WINDOWS = """\
+T = 1.0
+dt = 0.015625
+K = 8.0
+v0 = 0.0
+M = 5000
+tol = 0.01
+init.kind = delta
+init.params = 0.0
+"""
+
 # limit-pde: 2500 steps store every second row, so the mollified span seeds rows 2..10.
 LIMIT_PDE = """\
 T = 1.0
@@ -183,6 +196,9 @@ CASES = {
     }),
     "limit-mc": ("limit-mc", LIMIT_MC, 3, {
         "barrier_mc.csv": "973058541d329721e5da90e1dbf084ccddbee889790f0b70b2a07039989406c5",
+    }),
+    "limit-mc-windows": ("limit-mc", LIMIT_MC_WINDOWS, 3, {
+        "barrier_mc.csv": "2dba4b5567db00edb74c4cbbfa23eef6dee9bd3bdf1e10c1c6aa53efc2823726",
     }),
     "limit-pde": ("limit-pde", LIMIT_PDE, 0, {
         "barrier_pde.csv": "07b9351da53ea021c72eace3903dc9f922aaacfb3b421267294b4ee0f6b9ce3e",
