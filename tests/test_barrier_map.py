@@ -14,7 +14,7 @@ from inertbarrier.gamma import (
 )
 from inertbarrier.paths import SampledPath, sup_distance
 
-from conftest import make_path, random_walk_path
+from conftest import random_walk_path
 
 
 def line_path(slope, T=1.0, dt=1e-2, start=0.0):

@@ -1,7 +1,7 @@
 """Reflection map: frozen examples plus the comparison properties it must obey."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
