@@ -11,9 +11,11 @@ Two independent solvers for the limiting barrier:
   sqrt(2/K); windows of length 0.9*sqrt(2/K) are chained by restart.  Each
   path keeps a checkpoint at the start of the current window (its stream
   state, B and its running regulator), so a sweep draws only the window's
-  steps, chunk by chunk into one reused buffer.  A converged window ends
-  with one commit pass against the final barrier, which gives m_mean there
-  and moves the checkpoints to the window's end.
+  steps, in cache-sized blocks of paths.  The drivers of the leading paths
+  are kept over the window: its first sweep draws them and moves their
+  checkpoints to the window's end, and later sweeps read them.  A converged
+  window ends with one commit pass against the final barrier, which gives
+  m_mean there and moves the other checkpoints to the window's end.
 
 * `solve_limit_pde` evolves the density in the frame attached to the
   barrier, u(t, x) = p(t, x + y(t)) for x >= 0:
@@ -21,8 +23,9 @@ Two independent solvers for the limiting barrier:
       u_t = (1/2) u_xx + y'(t) u_x,      u_x(t,0) = -2 y'(t) u(t,0),
       y'' = -(K/2) u(t, 0),              y(0) = 0, y'(0) = v0.
 
-  Crank-Nicolson in time; space is discretized in flux form, where the
-  boundary condition is exactly a zero-flux wall.  The far node x_max keeps
+  Crank-Nicolson in time, one LAPACK gtsv call per step; space is
+  discretized in flux form, where the boundary condition is exactly a
+  zero-flux wall.  The far node x_max keeps
   its initial value, so the trapezoidal mass is conserved to rounding only
   while no mass reaches it and no undershoot is clipped.  Dirac initial data
   is mollified by the exact reflected heat kernel run to t = 10*dt_pde.
@@ -37,9 +40,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .errors import ConvergenceError, InvalidInputError, MassDriftError
+from .errors import ConvergenceError, InvalidInputError, MassDriftError, NumericalError
 from .particles import DriverCheckpoints, InitialDistribution
 from .paths import MAX_SAMPLES, SampledPath, uniform_grid
 from .wasserstein import GridDensity
@@ -70,9 +73,17 @@ STORE_TARGET = 1000
 # `consistency_check` calls a field a free-boundary solution below this residual.
 CONSISTENCY_THRESHOLD = 0.02
 
-# A Picard sweep draws this many paths at a time.  The value fixes the order in
-# which the regulators are summed, and with it the last bits of the barrier.
+# A Picard sweep sums the regulators of this many paths at a time.  The value
+# fixes the order of the sum, and with it the last bits of the barrier.
 _SWEEP_CHUNK = 4096
+# It works through a chunk in blocks of this many paths, which stay in cache
+# (1.3 MB over a window of 1 272 steps), ...
+_SWEEP_BLOCK = 128
+# ... and keeps the drivers of the leading paths over the current window: this
+# many paths over the longest window, more over a shorter one.  The window's
+# first sweep draws them and the later sweeps read them.  Cache and block
+# together take no more memory than one chunk over the longest window.
+_SWEEP_CACHE = 3840
 
 
 def reflected_heat_kernel(t: float, x, x0: float):
@@ -138,27 +149,52 @@ class ConsistencyReport:
 
 def _mean_regulator_sweep(
     y: np.ndarray, drivers: DriverCheckpoints, M: int, nsteps: int, reg: np.ndarray,
-    buf: np.ndarray, advance: bool = False,
+    cache: np.ndarray, block: np.ndarray, cached: bool = False, advance: bool = False,
 ) -> np.ndarray:
     """mean_j over M paths of the running regulator against barrier y on steps k..k+nsteps.
 
     `drivers` resume at step k, y holds the barrier on steps k..k+nsteps and
     reg[j] is path j's running regulator at step k, which stands in for
-    column 0.  Each chunk of `_SWEEP_CHUNK` paths is drawn into the front of
-    `buf`.  With advance=True, `drivers` and `reg` move on to step k+nsteps.
+    column 0.  The regulators are summed per chunk of `_SWEEP_CHUNK` paths,
+    and each chunk is worked through in blocks of `_SWEEP_BLOCK` paths in
+    `block`: rows 1.. hold the block's paths and row 0 the chunk's sum so
+    far, so one reduction per block adds the paths in row order.
+
+    `cache` (c, nsteps+1) holds f = xi + B of paths 0..c-1 when cached=True.
+    Otherwise they are drawn into it and their checkpoints move on to step
+    k+nsteps, since the later sweeps over these steps read them from the
+    cache.  Paths c.. are drawn every time; with advance=True their
+    checkpoints move on too, and reg moves on for every path.
     """
-    total = np.zeros(nsteps + 1)
+    width = nsteps + 1
+    total = np.zeros(width)
+    part = np.empty(width)
     for lo in range(0, M, _SWEEP_CHUNK):
         hi = min(M, lo + _SWEEP_CHUNK)
-        f = buf[: (hi - lo) * (nsteps + 1)].reshape(hi - lo, nsteps + 1)
-        drivers.window(lo, hi, nsteps, f, advance)
-        np.subtract(y[None, :], f, out=f)
-        np.maximum(f, 0.0, out=f)
-        f[:, 0] = reg[lo:hi]
-        np.maximum.accumulate(f, axis=1, out=f)
-        total += np.add.reduce(f, axis=0)
-        if advance:
-            reg[lo:hi] = f[:, -1]
+        for b0 in range(lo, hi, _SWEEP_BLOCK):
+            b1 = min(hi, b0 + _SWEEP_BLOCK)
+            rows = block[: (b1 - b0 + 1) * width].reshape(b1 - b0 + 1, width)
+            f = rows[1:]
+            split = min(max(len(cache), b0), b1)  # paths b0..split-1 are in the cache
+            if split > b0:
+                if not cached:
+                    drivers.window(b0, split, nsteps, cache[b0:split], advance=True)
+                np.subtract(y[None, :], cache[b0:split], out=f[: split - b0])
+            if b1 > split:
+                drawn = f[split - b0 :]
+                drivers.window(split, b1, nsteps, drawn, advance)
+                np.subtract(y[None, :], drawn, out=drawn)
+            np.maximum(f, 0.0, out=f)
+            f[:, 0] = reg[b0:b1]
+            np.maximum.accumulate(f, axis=1, out=f)
+            if advance:
+                reg[b0:b1] = f[:, -1]
+            if b0 == lo:
+                np.add.reduce(f, axis=0, out=part)
+            else:
+                rows[0] = part
+                np.add.reduce(rows, axis=0, out=part)
+        total += part
     return total / M
 
 
@@ -199,8 +235,8 @@ def solve_limit_mc(
     M : int
         Number of Monte Carlo paths (common random numbers across sweeps).
         Each path's checkpoint and running regulator hold 56 bytes, so
-        memory grows with M on top of one buffer of `_SWEEP_CHUNK` paths
-        over the longest window.
+        memory grows with M on top of a driver cache of `_SWEEP_CACHE`
+        paths and one block of `_SWEEP_BLOCK` paths over the longest window.
     seed
         Path j's stream depends only on (seed, j).
     tol : float
@@ -240,18 +276,22 @@ def solve_limit_mc(
         raise InvalidInputError("initial guess must start at y(0) = 0")
 
     windows = _window_bounds(nsteps, dt, K)
+    width = max(k1 - k0 for k0, k1 in windows) + 1
     drivers = DriverCheckpoints(init, seed, M, dt)
     reg = np.zeros(M)  # running regulators at the start of the current window
-    buf = np.empty(min(_SWEEP_CHUNK, M) * (max(k1 - k0 for k0, k1 in windows) + 1))
+    cache_buf = np.empty(min(_SWEEP_CACHE, M) * width)
+    block = np.empty((min(_SWEEP_BLOCK, M) + 1) * width)
     m_mean = np.empty(nsteps + 1)
     iterations = 0
     residual = 0.0
     for k0, k1 in windows:
+        rows = min(M, cache_buf.size // (k1 - k0 + 1))
+        cache = cache_buf[: rows * (k1 - k0 + 1)].reshape(rows, k1 - k0 + 1)
         prev_resid = math.inf
-        for _ in range(max_iter):
+        for sweep in range(max_iter):
             with np.errstate(over="ignore", invalid="ignore"):
                 m_win = _mean_regulator_sweep(
-                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf
+                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, cache, block, cached=sweep > 0
                 )
                 v = v0 - K * m_win
                 y_new = y.copy()
@@ -276,9 +316,9 @@ def solve_limit_mc(
                 residual=residual,
             )
         # Commit: m_mean against the final barrier on this window; the
-        # checkpoints move to k1 for the next one.
+        # checkpoints of the paths outside the cache move to k1 for the next one.
         m_mean[k0 : k1 + 1] = _mean_regulator_sweep(
-            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, buf, advance=True
+            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, cache, block, cached=True, advance=True
         )
 
     v = v0 - K * m_mean
@@ -315,27 +355,45 @@ def _operator_coefficients(c: float, dx: float) -> tuple[float, float, float, fl
     return inv2 - c / dx, -invd + c / dx, inv2, -invd + 2.0 * c / dx, invd
 
 
-def _cn_step(u: np.ndarray, c: float, dt: float, dx: float, ab: np.ndarray) -> np.ndarray:
-    """Solve (I - h*A) u_new = (I + h*A) u with h = dt/2 and A = A(c).
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonal dl, d, du; returns x.
+
+    One LAPACK gtsv call, the routine `scipy.linalg.solve_banded` runs for
+    (1, 1) bands, without that wrapper's input validation: the caller checks
+    that the operator is finite.  All four arrays are overwritten and x is
+    `rhs`.  The function keeps scipy's name because `bench/spans.py` times
+    and counts the Crank-Nicolson solves through `meanfield.solve_banded`.
+    """
+    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                        overwrite_b=1)
+    if info:
+        raise NumericalError(f"Crank-Nicolson matrix is singular (LAPACK gtsv info = {info})")
+    return x
+
+
+def _cn_step(u: np.ndarray, coefficients, h: float, bands, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - h*A) u_new = (I + h*A) u, with A given by `_operator_coefficients`.
 
     Entry j of the right-hand side is u_j + h*(diag*u_j), then
-    + (h*upper)*u_{j+1}, then + (h*lower)*u_{j-1}, in that order.  `ab` is
-    the (3, J+1) band storage, filled in place.
+    + (h*upper)*u_{j+1}, then + (h*lower)*u_{j-1}, in that order.  `bands` =
+    (dl, d, du) and `rhs` are filled in place; the products of the off-diagonal
+    terms pass through dl and du before the bands are written.  Returns u_new
+    in `rhs`, so `rhs` must not be u.
     """
-    lower, diag, upper, diag0, upper0 = _operator_coefficients(c, dx)
-    h = 0.5 * dt
-    rhs = u * diag
+    lower, diag, upper, diag0, upper0 = coefficients
+    dl, d, du = bands
+    np.multiply(u, diag, out=rhs)
     rhs[0], rhs[-1] = diag0 * u[0], 0.0 * u[-1]
     rhs *= h
     rhs += u
     rhs[0] += (h * upper0) * u[1]
-    rhs[1:-1] += (h * upper) * u[2:]
-    rhs[1:-1] += (h * lower) * u[:-2]
+    rhs[1:-1] += np.multiply(h * upper, u[2:], out=du[1:])
+    rhs[1:-1] += np.multiply(h * lower, u[:-2], out=dl[:-1])
     rhs[-1] += (h * 0.0) * u[-2]
-    ab[0, 1], ab[0, 2:] = -h * upper0, -h * upper
-    ab[1, 0], ab[1, 1:-1], ab[1, -1] = 1.0 - h * diag0, 1.0 - h * diag, 1.0 - h * 0.0
-    ab[2, :-2], ab[2, -2] = -h * lower, -h * 0.0
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    du[0], du[1:] = -h * upper0, -h * upper
+    d[0], d[1:-1], d[-1] = 1.0 - h * diag0, 1.0 - h * diag, 1.0 - h * 0.0
+    dl[:-1], dl[-1] = -h * lower, -h * 0.0
+    return solve_banded(dl, d, du, rhs)
 
 
 def _pick_stride(nsteps: int) -> int:
@@ -359,8 +417,10 @@ class _FrameStepper:
     assumes the barrier stays near 0 over [0, t_mol]; a law with a density
     starts at step 0 (u0 is the profile at step k_start).  A sample file has
     no density and is rejected.  `run` takes each step's frame velocity from
-    a frame: `_FreeBoundary` or `_PrescribedBarrier`.  x_max defaults to the
-    initial extent + 6*sqrt(T) + barrier_span.
+    a frame: `_FreeBoundary` or `_PrescribedBarrier`, and rejects a velocity
+    whose operator is not finite.  The stepper owns the operator's three
+    diagonals and two right-hand sides, which steps fill in place in turn.
+    x_max defaults to the initial extent + 6*sqrt(T) + barrier_span.
     """
 
     def __init__(self, init: InitialDistribution, T: float, dt_pde: float, dx: float, x_max,
@@ -383,7 +443,10 @@ class _FrameStepper:
         self.x = dx * np.arange(self.J + 1)
         self.weights = _trapezoid_weights(self.J, dx)
         self.stride = _pick_stride(self.nsteps)
-        self.ab = np.zeros((3, self.J + 1))  # solve_banded checks the unused corners too
+        # The operator's bands and two right-hand sides that steps use in turn:
+        # each step's solution is the next step's u.
+        self.bands = (np.empty(self.J), np.empty(self.J + 1), np.empty(self.J))
+        self.rhs = (np.empty(self.J + 1), np.empty(self.J + 1))
         self.min_u = 0.0
         self.clip_events = 0
         self.mass_drift = 0.0
@@ -392,14 +455,14 @@ class _FrameStepper:
         self.u0 = self.monitor(self._initial_density(init))
 
     def monitor(self, u: np.ndarray) -> np.ndarray:
-        low = float(np.min(u))
+        low = float(u.min())
         if low < 0.0:
             if low < CLIP_REPORT_LEVEL:
                 self.clip_events += 1
             self.min_u = min(self.min_u, low)
             u = np.maximum(u, 0.0)
         drift = abs(float(self.weights @ u) - 1.0)
-        if drift > MASS_DRIFT_LIMIT:
+        if not drift <= MASS_DRIFT_LIMIT:  # a NaN mass fails too
             raise MassDriftError(
                 f"density mass drifted by {drift:.3e} (limit {MASS_DRIFT_LIMIT})", drift=drift
             )
@@ -437,11 +500,19 @@ class _FrameStepper:
         if self.delta is not None:
             for r in range(self.stride, self.k_start + 1, self.stride):
                 out[r // self.stride] = self.kernel(r * self.dt)
-        for k in range(self.k_start, self.nsteps):
-            u = self.monitor(_cn_step(u, frame.velocity(k), self.dt, self.dx, self.ab))
-            frame.observe(k + 1, u)
-            if (k + 1) % self.stride == 0:
-                out[(k + 1) // self.stride] = u
+        h = 0.5 * self.dt
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+            for k in range(self.k_start, self.nsteps):
+                c = frame.velocity(k)
+                coefficients = _operator_coefficients(c, self.dx)
+                if not all(map(math.isfinite, (c, *coefficients))):
+                    raise InvalidInputError(
+                        f"barrier values must be finite: {frame.source} overflows float64"
+                    )
+                u = self.monitor(_cn_step(u, coefficients, h, self.bands, self.rhs[k % 2]))
+                frame.observe(k + 1, u)
+                if (k + 1) % self.stride == 0:
+                    out[(k + 1) // self.stride] = u
 
         rows = np.arange(0, self.nsteps + 1, self.stride)
         dt_out = self.stride * self.dt
@@ -483,6 +554,7 @@ class _FreeBoundary:
     def __init__(self, v0: float, K: float, stepper: _FrameStepper):
         dt = stepper.dt
         self.K, self.dt = K, dt
+        self.source = f"v0 = {v0} or K = {K}"
         self.y = np.zeros(stepper.nsteps + 1)
         self.yp = np.zeros(stepper.nsteps + 1)
         self.yp[0] = v0
@@ -493,7 +565,7 @@ class _FreeBoundary:
             i0_k, i1_k = _delta_boundary_integral(stepper.delta, k * dt, k, dt)
             self.yp[k] = v0 - 0.5 * K * i0_k
             self.y[k] = v0 * (k * dt) - 0.5 * K * i1_k
-        self.ypp = -0.5 * K * stepper.u0[0]
+        self.ypp = -0.5 * K * float(stepper.u0[0])  # a Python float overflows without a warning
 
     def velocity(self, k: int) -> float:
         return self.yp[k] + 0.5 * self.dt * self.ypp
@@ -510,6 +582,7 @@ class _PrescribedBarrier:
     """Frame velocity of a given barrier path g, resampled on the step grid; no feedback."""
 
     K = 0.0
+    source = "the prescribed barrier"
 
     def __init__(self, g: SampledPath, stepper: _FrameStepper):
         dt = stepper.dt

@@ -120,6 +120,18 @@ def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, k
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_limit_pde_overflowing_barrier_exits_one_with_one_line(tmp_path, capsys):
+    keys = {"T": "1.0", "K": "1.7e308", "v0": "0.0", "dx": "5e-2", "dt_pde": "2.5e-3",
+            "init.kind": "delta", "init.params": "0.0"}
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be one more line on stderr
+        assert run(["limit-pde", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows float64" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "limit-mc", "hydro", "chaos", "selftest"])
 def test_negative_seed_exits_one_with_one_line(tmp_path, capsys, command):
     keys = BASE_KEYS.get(command, {})

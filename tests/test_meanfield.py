@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from inertbarrier.errors import ConvergenceError, InvalidInputError, MassDriftError
+from inertbarrier import meanfield
+from inertbarrier.errors import ConvergenceError, InvalidInputError, MassDriftError, NumericalError
 from inertbarrier.meanfield import (
     consistency_check,
     density_fixed_barrier,
@@ -164,6 +168,55 @@ def test_pde_tight_far_boundary_trips_mass_monitor():
             InitialDistribution.delta(1.0), v0=0.0, K=0.0, T=1.0,
             dt_pde=8e-4, dx=3e-2, x_max=1.5,
         )
+
+
+def test_pde_overflowing_frame_velocity_raises_input_error():
+    # K * u(0, 0) overflows float64, so the first frame velocity is -inf
+    with pytest.raises(InvalidInputError, match="v0 = 0.0 or K = 1.7e[+]308 overflows float64"):
+        solve_limit_pde(DELTA0, v0=0.0, K=1.7e308, T=1.0, dt_pde=2.5e-3, dx=5e-2)
+
+
+def test_nan_mass_trips_mass_monitor():
+    stepper = meanfield._FrameStepper(DELTA0, 0.25, 4e-4, 2e-2, None, 0.0)
+    u = stepper.u0.copy()
+    u[3] = np.nan
+    with pytest.raises(MassDriftError, match="nan"):
+        stepper.monitor(u)
+
+
+def test_singular_tridiagonal_solve_raises_numerical_error():
+    zeros = np.zeros(3)
+    with pytest.raises(NumericalError, match="singular"):
+        meanfield.solve_banded(np.zeros(2), zeros, np.zeros(2), np.ones(3))
+
+
+def cn_bands(c, dx, h, J):
+    """(dl, d, du) of I - h*A(c), as `_cn_step` writes them."""
+    lower, diag, upper, diag0, upper0 = meanfield._operator_coefficients(c, dx)
+    dl = np.append(np.full(J - 1, -h * lower), -h * 0.0)
+    d = np.concatenate(([1.0 - h * diag0], np.full(J - 1, 1.0 - h * diag), [1.0 - h * 0.0]))
+    du = np.append(-h * upper0, np.full(J - 1, -h * upper))
+    return dl, d, du
+
+
+# Cell Peclet number |c|*dx: at most 1 takes centered advection, above 1 upwind
+# from the right (c > 0) or from the left (c < 0).
+PECLET = st.one_of(st.floats(-1.0, 1.0), st.floats(1.0, 50.0, exclude_min=True),
+                   st.floats(-50.0, -1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(peclet=PECLET, dx=st.sampled_from([5e-3, 1e-2, 5e-2]), frac=st.floats(0.05, 1.0),
+       J=st.integers(2, 80), seed=st.integers(0, 2**32 - 1))
+def test_solve_banded_equals_scipy_bitwise(peclet, dx, frac, J, seed):
+    h = 0.5 * frac * dx * dx
+    dl, d, du = cn_bands(peclet / dx, dx, h, J)
+    rhs = np.random.default_rng(seed).random(J + 1)
+    ab = np.zeros((3, J + 1))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    got = meanfield.solve_banded(dl, d, du, rhs.copy())
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pde_rejects_initial_kind_without_density(tmp_path):

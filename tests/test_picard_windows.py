@@ -5,7 +5,9 @@ current window and draws only that window's steps.  The reference below is
 the loop it replaced: every sweep redraws all paths over the whole horizon
 with `driver_chunks`, and one closing sweep gives m_mean and v against the
 final barrier.  Both must give the same LimitBarrier, or the same
-ConvergenceError with the same residual.
+ConvergenceError with the same residual.  The sweep's chunk, block and driver
+cache sizes are set per case, so that the cache ends before the first path,
+at a block edge, inside a block or past the last path.
 """
 import math
 
@@ -61,11 +63,31 @@ def k_for_window(steps: int, dt: float) -> float:
     return 2.0 * (0.9 / (dt * (steps + 0.5))) ** 2
 
 
-def assert_same_solve(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk):
-    """Compare with the reference, both drawing `chunk` paths at a time."""
+def assert_same_solve(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk,
+                      block=meanfield._SWEEP_BLOCK, cache=meanfield._SWEEP_CACHE):
+    """Compare with the reference, both summing `chunk` paths at a time.
+
+    The solve works in blocks of `block` paths and caches the drivers of the
+    first `cache` paths.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meanfield, "_SWEEP_CHUNK", chunk)
+        mp.setattr(meanfield, "_SWEEP_BLOCK", block)
+        mp.setattr(meanfield, "_SWEEP_CACHE", cache)
         return _compare_solves(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk)
+
+
+def cache_boundary(M, chunk, block, cache):
+    """Where the cache ends among the M paths over the longest window.
+
+    A shorter window caches more paths in the same memory.
+    """
+    if cache == 0:
+        return "no path cached"
+    if cache >= M:
+        return "every path cached"
+    offset = cache % chunk  # blocks start at each chunk's first path
+    return "cache ends at a block edge" if offset % block == 0 else "cache ends inside a block"
 
 
 def _compare_solves(init, v0, K, nsteps, dt, M, seed, tol, max_iter, y_init, chunk):
@@ -113,6 +135,8 @@ def limit_cases(draw, sample_file):
     ]))
     M = draw(st.integers(1, 40))
     chunk = draw(st.sampled_from([1, 3, 7, 16, 4096]))
+    block = draw(st.sampled_from([1, 2, 5, 128]))
+    cache = draw(st.integers(0, M + 3))
     kind = draw(st.sampled_from(["none", "quadratic", "linear"]))
     a = draw(st.floats(-2.0, 0.5))
     if kind == "quadratic":
@@ -124,7 +148,7 @@ def limit_cases(draw, sample_file):
     tol = draw(st.sampled_from([1e-3, 1e-2]))
     seed = draw(st.integers(0, 2**32))
     return dict(init=init, v0=v0, K=K, nsteps=nsteps, dt=DT, M=M, seed=seed, tol=tol,
-                max_iter=12, y_init=y_init, chunk=chunk)
+                max_iter=12, y_init=y_init, chunk=chunk, block=block, cache=cache)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -133,6 +157,7 @@ def test_windowed_solve_equals_full_horizon_reference(data, sample_file):
     case = data.draw(limit_cases(sample_file))
     windows = len(_window_bounds(case["nsteps"], DT, case["K"]))
     event(f"{assert_same_solve(**case)}, {'one window' if windows == 1 else 'several windows'}")
+    event(cache_boundary(case["M"], case["chunk"], case["block"], case["cache"]))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -159,9 +184,25 @@ def test_several_windows_and_chunks_equal_full_horizon_reference():
     assert outcome == "converged"
 
 
+@pytest.mark.parametrize("block, cache", [(64, 0), (64, 464), (64, 450), (64, 700)])
+def test_cache_boundaries_over_several_windows_equal_full_horizon_reference(block, cache):
+    # the case above, with the cache ending nowhere, at a block edge in the
+    # third chunk, inside a block there, or past the last path
+    outcome = assert_same_solve(InitialDistribution.delta(0.0), 0.0, 1.0, 200, DT, 700, 5,
+                                1e-3, 60, lambda t: -t * t, 200, block, cache)
+    assert outcome == "converged"
+
+
 def test_stall_in_a_later_window_raises_the_reference_error():
     # the paths start above the barrier, so the first one-step window converges
     init, K = InitialDistribution.delta(0.2), k_for_window(1, DT)
     with pytest.raises(ConvergenceError, match=r"window \[0.01, 0.02\]"):
         reference_limit_mc(init, 0.0, K, 10, DT, 30, 1, 1e-3, 30, np.zeros(11), 4096)
     assert assert_same_solve(init, 0.0, K, 10, DT, 30, 1, 1e-3, 30, None, 4096) == "stalled"
+
+
+@pytest.mark.parametrize("block, cache", [(4, 0), (4, 12), (4, 13), (4, 30)])
+def test_cache_boundaries_in_a_stalled_window_raise_the_reference_error(block, cache):
+    init, K = InitialDistribution.delta(0.2), k_for_window(1, DT)
+    outcome = assert_same_solve(init, 0.0, K, 10, DT, 30, 1, 1e-3, 30, None, 4096, block, cache)
+    assert outcome == "stalled"
