@@ -443,8 +443,7 @@ class _FrameStepper:
         self.x = dx * np.arange(self.J + 1)
         self.weights = _trapezoid_weights(self.J, dx)
         self.stride = _pick_stride(self.nsteps)
-        # The operator's bands and two right-hand sides that steps use in turn:
-        # each step's solution is the next step's u.
+        # Two right-hand sides, used in turn: each step's solution is the next step's u.
         self.bands = (np.empty(self.J), np.empty(self.J + 1), np.empty(self.J))
         self.rhs = (np.empty(self.J + 1), np.empty(self.J + 1))
         self.min_u = 0.0

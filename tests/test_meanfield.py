@@ -185,9 +185,8 @@ def test_nan_mass_trips_mass_monitor():
 
 
 def test_singular_tridiagonal_solve_raises_numerical_error():
-    zeros = np.zeros(3)
     with pytest.raises(NumericalError, match="singular"):
-        meanfield.solve_banded(np.zeros(2), zeros, np.zeros(2), np.ones(3))
+        meanfield.solve_banded(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
 
 def cn_bands(c, dx, h, J):
