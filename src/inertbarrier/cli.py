@@ -1,14 +1,21 @@
 """Command-line entry point.
 
-Every subcommand reads a flat key = value config file, takes its randomness
-from --seed, and writes CSV artifacts only inside --out.  Exit codes:
-0 success, 1 input error, 2 numerical failure, 3 selftest violations.
+`_SUBCOMMANDS` is the one table of subcommands: each one's handler, help text
+and the config keys it reads.  Each key of the flat key = value config
+(`io.parse_config`) fills the library parameter, or the SimConfig field, of
+its name; init.kind and init.params fill `init`.  A required key must be set,
+an optional key left out is not passed, so the library default applies, and
+any other key exits 1.  Every subcommand takes its randomness from --seed and
+writes CSV artifacts only inside --out.  Exit codes: 0 success, 1 input
+error, 2 numerical failure, 3 selftest violations.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,12 +23,7 @@ from .errors import InvalidInputError, NumericalError
 from .harness import chaos_test, gamma_rate_study, hydro_convergence, invariant_sweep
 from .io import (
     MAX_EXPORT_PARTICLES,
-    config_float,
-    config_int,
-    config_int_list,
-    init_from_dict,
-    load_config,
-    sim_config_from_dict,
+    parse_config,
     write_density_field,
     write_field_barrier,
     write_limit_barrier,
@@ -30,7 +32,7 @@ from .io import (
     write_trajectory,
 )
 from .meanfield import consistency_check, density_fixed_barrier, solve_limit_mc, solve_limit_pde
-from .particles import simulate, snapshot
+from .particles import SimConfig, simulate, snapshot
 from .paths import SampledPath, uniform_grid
 
 __all__ = ["run", "main"]
@@ -56,18 +58,8 @@ def _build_parser() -> _Parser:
         "mean-field solvers, and convergence studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "run the n-particle system and export trajectory + final snapshot",
-        "limit-mc": "solve the mean-field barrier by Monte Carlo fixed point",
-        "limit-pde": "solve the free-boundary density in the moving frame",
-        "density": "evolve the density above the prescribed barrier y = v0*t",
-        "hydro": "empirical-measure convergence table over n",
-        "chaos": "pair-correlation decay table over n",
-        "gamma-rate": "barrier-map refinement gaps against the guaranteed bound",
-        "selftest": "structural invariants on 50 random configs",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.description, description=command.description)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=_seed, default=0, help="integer seed >= 0 (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
@@ -75,10 +67,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_config(args) -> dict[str, str]:
+def _config(args, command: _Subcommand) -> dict:
+    """The typed values of the config keys this invocation sets."""
+    if command.required is None or (args.config is None and not command.required):
+        return {}
     if args.config is None:
         raise InvalidInputError(f"{args.command} requires --config")
-    return load_config(args.config)
+    with open(args.config) as fh:
+        return parse_config(fh.read(), command.required, command.optional)
+
+
+def _study_args(args, cfg: dict) -> dict:
+    """cfg's keys that name no SimConfig field, and `base`: the SimConfig of the others."""
+    sim = {f.name: cfg.pop(f.name) for f in fields(SimConfig) if f.name in cfg}
+    return dict(cfg, base=SimConfig(seed=args.seed, **sim))
 
 
 def _say(args, message: str) -> None:
@@ -86,23 +88,13 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _optional(cfg, **readers) -> dict:
-    """Keyword arguments for the optional keys that cfg sets, each read by its reader.
-
-    A key the config leaves out is not passed, so the library function the
-    subcommand calls applies its own default.
-    """
-    return {key: read(cfg, key) for key, read in readers.items() if key in cfg}
-
-
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _require_config(args)
-    sc = sim_config_from_dict(cfg, args.seed)
+def _cmd_simulate(args, cfg) -> int:
+    sc = SimConfig(seed=args.seed, **cfg)
     traj = simulate(sc, keep=MAX_EXPORT_PARTICLES)
     traj_path = _outpath(args, "trajectory.csv")
     snap_path = _outpath(args, "snapshot.csv")
@@ -114,18 +106,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_limit_mc(args) -> int:
-    cfg = _require_config(args)
-    lim = solve_limit_mc(
-        init=init_from_dict(cfg),
-        v0=config_float(cfg, "v0"),
-        K=config_float(cfg, "K"),
-        T=config_float(cfg, "T"),
-        dt=config_float(cfg, "dt"),
-        M=config_int(cfg, "M"),
-        seed=args.seed,
-        **_optional(cfg, tol=config_float, max_iter=config_int),
-    )
+def _cmd_limit_mc(args, cfg) -> int:
+    lim = solve_limit_mc(seed=args.seed, **cfg)
     path = _outpath(args, "barrier_mc.csv")
     write_limit_barrier(path, lim)
     _say(args, f"converged in {lim.iterations} sweeps, residual {lim.residual:.3e}")
@@ -133,22 +115,8 @@ def _cmd_limit_mc(args) -> int:
     return 0
 
 
-def _pde_args(cfg):
-    return dict(
-        init=init_from_dict(cfg),
-        T=config_float(cfg, "T"),
-        dt_pde=config_float(cfg, "dt_pde"),
-        dx=config_float(cfg, "dx"),
-        **_optional(cfg, x_max=config_float),
-    )
-
-
-def _cmd_limit_pde(args) -> int:
-    cfg = _require_config(args)
-    kwargs = _pde_args(cfg)
-    field = solve_limit_pde(
-        v0=config_float(cfg, "v0"), K=config_float(cfg, "K"), **kwargs
-    )
+def _cmd_limit_pde(args, cfg) -> int:
+    field = solve_limit_pde(**cfg)
     dens_path = _outpath(args, "density.csv")
     barr_path = _outpath(args, "barrier_pde.csv")
     write_density_field(dens_path, field)
@@ -160,12 +128,10 @@ def _cmd_limit_pde(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    cfg = _require_config(args)
-    kwargs = _pde_args(cfg)
-    v0, dt = config_float(cfg, "v0"), kwargs["dt_pde"]
-    g = SampledPath(0.0, dt, v0 * dt * np.arange(uniform_grid(kwargs["T"], dt) + 1))
-    field = density_fixed_barrier(g, **kwargs)
+def _cmd_density(args, cfg) -> int:
+    v0, dt = cfg.pop("v0"), cfg["dt_pde"]
+    g = SampledPath(0.0, dt, v0 * dt * np.arange(uniform_grid(cfg["T"], dt) + 1))
+    field = density_fixed_barrier(g, **cfg)
     dens_path = _outpath(args, "density.csv")
     barr_path = _outpath(args, "barrier.csv")
     write_density_field(dens_path, field)
@@ -175,14 +141,8 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _cmd_hydro(args) -> int:
-    cfg = _require_config(args)
-    rows = hydro_convergence(
-        base=sim_config_from_dict(cfg, args.seed),
-        n_list=config_int_list(cfg, "n_list"),
-        reps=config_int(cfg, "reps"),
-        **_optional(cfg, dx=config_float, dt_pde=config_float),
-    )
+def _cmd_hydro(args, cfg) -> int:
+    rows = hydro_convergence(**_study_args(args, cfg))
     path = _outpath(args, "hydro.csv")
     write_table(path, rows)
     for r in rows:
@@ -192,14 +152,8 @@ def _cmd_hydro(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    cfg = _require_config(args)
-    rows = chaos_test(
-        base=sim_config_from_dict(cfg, args.seed),
-        n_list=config_int_list(cfg, "n_list"),
-        reps=config_int(cfg, "reps"),
-        **_optional(cfg, pair=config_int_list),
-    )
+def _cmd_chaos(args, cfg) -> int:
+    rows = chaos_test(**_study_args(args, cfg))
     path = _outpath(args, "chaos.csv")
     write_table(path, rows)
     for r in rows:
@@ -208,12 +162,8 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_gamma_rate(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    rows = gamma_rate_study(
-        seed=args.seed,
-        **_optional(cfg, K=config_float, v0=config_float, n=config_int, T=config_float),
-    )
+def _cmd_gamma_rate(args, cfg) -> int:
+    rows = gamma_rate_study(seed=args.seed, **cfg)
     path = _outpath(args, "gamma_rate.csv")
     write_table(path, rows)
     bad = [r.level for r in rows if r.gap > r.bound]
@@ -226,7 +176,7 @@ def _cmd_gamma_rate(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, cfg) -> int:
     violations = invariant_sweep(num_configs=50, seed=args.seed)
     if violations:
         for v in violations:
@@ -237,15 +187,45 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "limit-mc": _cmd_limit_mc,
-    "limit-pde": _cmd_limit_pde,
-    "density": _cmd_density,
-    "hydro": _cmd_hydro,
-    "chaos": _cmd_chaos,
-    "gamma-rate": _cmd_gamma_rate,
-    "selftest": _cmd_selftest,
+class _Subcommand(NamedTuple):
+    """A row of `_SUBCOMMANDS`; required None reads no config, () lets --config be left out."""
+
+    handler: Callable[..., int]
+    description: str
+    required: tuple[str, ...] | None
+    optional: tuple[str, ...] = ()
+
+
+_INIT = ("init.kind", "init.params")
+_SIM = ("n", "T", "dt", "K", "v0", *_INIT)
+_SUBCOMMANDS = {
+    "simulate": _Subcommand(
+        _cmd_simulate, "run the n-particle system and export trajectory + final snapshot", _SIM
+    ),
+    "limit-mc": _Subcommand(
+        _cmd_limit_mc, "solve the mean-field barrier by Monte Carlo fixed point",
+        ("T", "dt", "K", "v0", "M", *_INIT), ("tol", "max_iter"),
+    ),
+    "limit-pde": _Subcommand(
+        _cmd_limit_pde, "solve the free-boundary density in the moving frame",
+        ("T", "dt_pde", "dx", "K", "v0", *_INIT), ("x_max",),
+    ),
+    "density": _Subcommand(
+        _cmd_density, "evolve the density above the prescribed barrier y = v0*t",
+        ("T", "dt_pde", "dx", "v0", *_INIT), ("x_max",),
+    ),
+    "hydro": _Subcommand(
+        _cmd_hydro, "empirical-measure convergence table over n",
+        (*_SIM, "n_list", "reps"), ("dx", "dt_pde"),
+    ),
+    "chaos": _Subcommand(
+        _cmd_chaos, "pair-correlation decay table over n", (*_SIM, "n_list", "reps"), ("pair",)
+    ),
+    "gamma-rate": _Subcommand(
+        _cmd_gamma_rate, "barrier-map refinement gaps against the guaranteed bound",
+        (), ("K", "v0", "n", "T"),
+    ),
+    "selftest": _Subcommand(_cmd_selftest, "structural invariants on 50 random configs", None),
 }
 
 
@@ -253,13 +233,10 @@ def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        command = _SUBCOMMANDS[args.command]
+        return command.handler(args, _config(args, command))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

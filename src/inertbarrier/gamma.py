@@ -36,6 +36,7 @@ __all__ = [
     "BarrierTrajectory",
     "BarrierRecursion",
     "GammaResult",
+    "check_barrier_parameters",
     "solve_gamma",
     "solve_gamma_refined",
     "lipschitz_envelope",
@@ -141,6 +142,12 @@ class BarrierRecursion:
         )
 
 
+def check_barrier_parameters(K: float, v0: float) -> None:
+    """Raise InvalidInputError unless the impulse constant K >= 0 and v0 are finite."""
+    if not (np.isfinite(K) and K >= 0 and np.isfinite(v0)):
+        raise InvalidInputError(f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}")
+
+
 def _validate_drivers(f: PathBundle | Sequence[SampledPath]) -> PathBundle:
     if len(f) == 0:
         raise InvalidInputError("need at least one driver path")
@@ -173,10 +180,7 @@ def solve_gamma(
         Velocity-update lattice width; must be an integer multiple of the
         grid step.  Defaults to the grid step itself (the finest choice).
     """
-    if not (np.isfinite(K) and K >= 0.0):
-        raise InvalidInputError(f"impulse constant K must be >= 0, got {K}")
-    if not np.isfinite(v0):
-        raise InvalidInputError("v0 must be finite")
+    check_barrier_parameters(K, v0)
     drivers = _validate_drivers(f)
     t0, dt = drivers.t0, drivers.dt
     n, nsteps = len(drivers), drivers.n_steps

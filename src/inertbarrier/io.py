@@ -1,18 +1,20 @@
 """CSV artifact writers and the flat key = value config format.
 
 Floats are written with repr (shortest round-trip form), so rerunning a
-deterministic computation reproduces every file byte for byte.
+deterministic computation reproduces every file byte for byte.  A config
+value is read by the reader of its key's name: an int, a finite float or a
+comma-separated int list.  Which keys a config may set is the caller's
+choice (`cli._SUBCOMMANDS`); `parse_config` rejects any other.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import astuple, fields
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .particles import InitialDistribution, SimConfig
+from .particles import InitialDistribution
 
 __all__ = [
     "write_trajectory",
@@ -22,12 +24,6 @@ __all__ = [
     "write_limit_barrier",
     "write_table",
     "parse_config",
-    "load_config",
-    "config_float",
-    "config_int",
-    "config_int_list",
-    "init_from_dict",
-    "sim_config_from_dict",
 ]
 
 MAX_EXPORT_PARTICLES = 32
@@ -107,52 +103,6 @@ def write_table(path, rows) -> None:
 # Config files: one `key = value` per line, `#` starts a comment
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = frozenset(
-    {
-        "n", "T", "dt", "K", "v0", "init.kind", "init.params",
-        "M", "dt_pde", "dx", "x_max", "tol", "max_iter",
-        "n_list", "reps", "pair",
-    }
-)
-
-
-def parse_config(text: str) -> dict[str, str]:
-    """Parse config text into a raw string map; validates key names only."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidInputError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
-            raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
-        if key in out:
-            raise InvalidInputError(f"config line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def load_config(path) -> dict[str, str]:
-    if not os.path.isfile(path):
-        raise InvalidInputError(f"config file not found: {path}")
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
-def _convert(cfg: dict[str, str], key: str, conv):
-    if key not in cfg:
-        raise InvalidInputError(f"missing config key {key!r}")
-    try:
-        return conv(cfg[key])
-    except InvalidInputError:
-        raise
-    except ValueError as exc:
-        raise InvalidInputError(f"config key {key!r}: {exc}") from exc
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -160,24 +110,22 @@ def _finite(text: str) -> float:
     return value
 
 
-def config_float(cfg, key) -> float:
-    return _convert(cfg, key, _finite)
+def _int_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",")]
 
 
-def config_int(cfg, key) -> int:
-    return _convert(cfg, key, int)
+# The reader of each config key; init.kind and init.params are read together
+# into one InitialDistribution by _initial_law.
+_READERS = {
+    "n": int, "M": int, "max_iter": int, "reps": int,
+    "T": _finite, "dt": _finite, "K": _finite, "v0": _finite, "tol": _finite,
+    "dt_pde": _finite, "dx": _finite, "x_max": _finite,
+    "n_list": _int_list, "pair": _int_list,
+}
 
 
-def config_int_list(cfg, key) -> list[int]:
-    return _convert(cfg, key, lambda s: [int(p) for p in s.split(",")])
-
-
-def init_from_dict(cfg: dict[str, str]) -> InitialDistribution:
+def _initial_law(kind: str, params: str) -> InitialDistribution:
     """Initial law of init.kind and init.params (a path for sample_file, else numbers)."""
-    kind = cfg.get("init.kind")
-    if kind is None:
-        raise InvalidInputError("missing config key 'init.kind'")
-    params = cfg.get("init.params", "")
     if kind == "sample_file":
         return InitialDistribution(kind, path=params)
     try:
@@ -187,14 +135,38 @@ def init_from_dict(cfg: dict[str, str]) -> InitialDistribution:
     return InitialDistribution(kind, values)
 
 
-def sim_config_from_dict(cfg: dict[str, str], seed) -> SimConfig:
-    """Build a SimConfig from parsed config text plus an external seed."""
-    return SimConfig(
-        n=config_int(cfg, "n"),
-        T=config_float(cfg, "T"),
-        dt=config_float(cfg, "dt"),
-        K=config_float(cfg, "K"),
-        v0=config_float(cfg, "v0"),
-        init=init_from_dict(cfg),
-        seed=seed,
-    )
+def parse_config(text: str, required, optional=()) -> dict:
+    """Typed values of the keys in config text, by key name.
+
+    Every key in `required` must be set, and every key set must be in
+    `required` or `optional`.  A line without `=`, a duplicate key and a value
+    its key's reader rejects also raise InvalidInputError.  init.kind and
+    init.params come back as one InitialDistribution under `init`.
+    """
+    allowed = {*required, *optional}
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(f"config line {lineno}: expected key = value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in allowed:
+            raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise InvalidInputError(f"config line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    for key in required:
+        if key not in out:
+            raise InvalidInputError(f"missing config key {key!r}")
+    cfg = {}
+    if "init.kind" in out:
+        cfg["init"] = _initial_law(out.pop("init.kind"), out.pop("init.params", ""))
+    for key, value in out.items():
+        try:
+            cfg[key] = _READERS[key](value)
+        except ValueError as exc:
+            raise InvalidInputError(f"config key {key!r}: {exc}") from exc
+    return cfg

@@ -43,6 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError, NumericalError
+from .gamma import check_barrier_parameters
 from .particles import DriverCheckpoints, InitialDistribution
 from .paths import MAX_SAMPLES, SampledPath, uniform_grid
 from .wasserstein import GridDensity
@@ -257,8 +258,7 @@ def solve_limit_mc(
         moves the paths' checkpoints to the window's end.  iterations counts
         the Picard updates and residual is the sup-change of the last one.
     """
-    if not (np.isfinite(K) and K >= 0 and np.isfinite(v0)):
-        raise InvalidInputError(f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}")
+    check_barrier_parameters(K, v0)
     if M < 1:
         raise InvalidInputError("M must be >= 1")
     if not (tol > 0) or max_iter < 1:
@@ -625,8 +625,7 @@ def solve_limit_pde(
     DensityField
         With about STORE_TARGET stored time slices.
     """
-    if not (np.isfinite(K) and K >= 0 and np.isfinite(v0)):
-        raise InvalidInputError(f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}")
+    check_barrier_parameters(K, v0)
     stepper = _FrameStepper(init, T, dt_pde, dx, x_max, abs(v0) * T)
     return stepper.run(_FreeBoundary(v0, K, stepper))
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError
-from .gamma import BarrierRecursion, BarrierTrajectory
+from .gamma import BarrierRecursion, BarrierTrajectory, check_barrier_parameters
 from .paths import PathBundle, SampledPath, uniform_grid
 from .wasserstein import EmpiricalMeasure
 
@@ -310,10 +310,7 @@ class SimConfig:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InvalidInputError(f"n must be a positive integer, got {self.n!r}")
         uniform_grid(self.T, self.dt)
-        if not (np.isfinite(self.K) and self.K >= 0):
-            raise InvalidInputError(f"K must be >= 0, got {self.K}")
-        if not np.isfinite(self.v0):
-            raise InvalidInputError("v0 must be finite")
+        check_barrier_parameters(self.K, self.v0)
         check_seed(self.seed)
 
     @property

@@ -1,5 +1,6 @@
 """Barrier fixed point driven by n paths: oracles, bounds, exact invariants."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from inertbarrier.gamma import (
     solve_gamma_refined,
     velocity_envelope,
 )
+from inertbarrier.meanfield import solve_limit_mc, solve_limit_pde
+from inertbarrier.particles import InitialDistribution, SimConfig
 from inertbarrier.paths import SampledPath, sup_distance
 
 from conftest import random_walk_path
@@ -240,3 +243,20 @@ def test_input_validation(rng):
     g = random_walk_path(rng, n_steps=10, dt=0.2, start=0.5)
     with pytest.raises(InvalidInputError):
         solve_gamma([f, g], v0=0.0, K=1.0)
+
+
+_DELTA = InitialDistribution.delta(0.5)
+BARRIER_ENTRY_POINTS = {
+    "SimConfig": lambda K, v0: SimConfig(n=2, T=0.5, dt=0.25, K=K, v0=v0, init=_DELTA, seed=0),
+    "solve_gamma": lambda K, v0: solve_gamma([line_path(1.0, T=0.5, dt=0.25)], v0=v0, K=K),
+    "solve_limit_mc": lambda K, v0: solve_limit_mc(_DELTA, v0, K, T=0.5, dt=0.25, M=4, seed=0),
+    "solve_limit_pde": lambda K, v0: solve_limit_pde(_DELTA, v0, K, T=0.05, dt_pde=1e-4, dx=1e-2),
+}
+
+
+@pytest.mark.parametrize("K, v0", [(-1.0, 0.0), (math.nan, 0.0), (1.0, math.inf)])
+@pytest.mark.parametrize("entry", sorted(BARRIER_ENTRY_POINTS))
+def test_barrier_parameters_have_one_rule(entry, K, v0):
+    message = f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        BARRIER_ENTRY_POINTS[entry](K, v0)

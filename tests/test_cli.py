@@ -5,9 +5,10 @@ import warnings
 
 import pytest
 
-from inertbarrier.cli import run
+from inertbarrier.cli import _SUBCOMMANDS, run
 from inertbarrier.harness import RateRow, chaos_test, gamma_rate_study, hydro_convergence
-from inertbarrier.meanfield import solve_limit_mc
+from inertbarrier.meanfield import density_fixed_barrier, solve_limit_mc, solve_limit_pde
+from inertbarrier.particles import SimConfig
 
 
 def write_config(path, text):
@@ -74,42 +75,48 @@ def test_memory_error_exits_one_with_a_message(tmp_path, sim_config, capsys, mon
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
 
+# Each subcommand's required keys for a tiny run, and no key it does not read.
 PDE_KEYS = {"T": "0.05", "dt_pde": "1e-4", "dx": "1e-2", "K": "1.0", "v0": "0.5",
             "init.kind": "exponential", "init.params": "2.0"}
+DENSITY_KEYS = {k: v for k, v in PDE_KEYS.items() if k != "K"}
 MC_KEYS = {"T": "0.25", "dt": "0.015625", "K": "0.5", "v0": "0.0", "M": "200",
            "init.kind": "delta", "init.params": "0.0"}
-HYDRO_KEYS = {"n": "20", "T": "0.25", "dt": "0.0078125", "K": "1.0", "v0": "0.0",
-              "init.kind": "delta", "init.params": "0.5", "n_list": "20", "reps": "2",
-              "dx": "2e-2"}
-BASE_KEYS = {"density": PDE_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS, "hydro": HYDRO_KEYS,
-             "simulate": HYDRO_KEYS, "chaos": {**HYDRO_KEYS, "reps": "3"}}
+SIM_KEYS = {"n": "20", "T": "0.25", "dt": "0.0078125", "K": "1.0", "v0": "0.0",
+            "init.kind": "delta", "init.params": "0.5"}
+HYDRO_KEYS = {**SIM_KEYS, "n_list": "20", "reps": "2", "dx": "2e-2"}
+CHAOS_KEYS = {**SIM_KEYS, "n_list": "20", "reps": "3"}
+BASE_KEYS = {"density": DENSITY_KEYS, "limit-pde": PDE_KEYS, "limit-mc": MC_KEYS,
+             "hydro": HYDRO_KEYS, "simulate": SIM_KEYS, "chaos": CHAOS_KEYS}
+
+# Each bad value, and a fragment of the one error line its own rule gives.
+BAD_VALUES = {
+    ("density", "dt_pde", "0"): "0 < dt",
+    ("density", "dt_pde", "nan"): "'dt_pde': must be finite",
+    ("density", "T", "inf"): "'T': must be finite",
+    ("density", "T", "-1"): "horizon T must be positive",
+    ("density", "x_max", "inf"): "'x_max': must be finite",
+    ("density", "v0", "inf"): "'v0': must be finite",
+    ("density", "v0", "1e308"): "x_max must exceed dx",
+    ("limit-pde", "x_max", "inf"): "'x_max': must be finite",
+    ("limit-pde", "x_max", "1e308"): "got x_max = 1e+308",
+    ("limit-pde", "v0", "inf"): "'v0': must be finite",
+    ("limit-pde", "T", "-1"): "horizon T must be positive",
+    ("limit-mc", "tol", "nan"): "'tol': must be finite",
+    ("limit-mc", "v0", "inf"): "'v0': must be finite",
+    ("limit-mc", "T", "1e308"): "T/dt = inf steps",
+    ("limit-mc", "dt", "5e-324"): "T/dt = inf steps",
+    ("limit-mc", "v0", "1e308"): "v0 = 1e+308 or K = 0.5 overflows float64",
+    ("hydro", "dt_pde", "0"): "dt_pde must satisfy 0 < dt_pde <= dx^2",
+    ("limit-pde", "init.params", "5e-324"): "got x_max = inf",
+    ("density", "init.params", "5e-324"): "got x_max = inf",
+    ("simulate", "v0", "1e308"): "v0 = 1e+308 or K = 1.0 overflows float64",
+    ("chaos", "v0", "1e308"): "v0 = 1e+308 or K = 1.0 overflows float64",
+    ("hydro", "v0", "1e308"): "x_max must exceed dx",
+    ("chaos", "pair", "1"): "pair must name two particle labels",
+}
 
 
-@pytest.mark.parametrize("command, key, value", [
-    ("density", "dt_pde", "0"),
-    ("density", "dt_pde", "nan"),
-    ("density", "T", "inf"),
-    ("density", "T", "-1"),
-    ("density", "x_max", "inf"),
-    ("density", "v0", "inf"),
-    ("density", "v0", "1e308"),
-    ("limit-pde", "x_max", "inf"),
-    ("limit-pde", "x_max", "1e308"),
-    ("limit-pde", "v0", "inf"),
-    ("limit-pde", "T", "-1"),
-    ("limit-mc", "tol", "nan"),
-    ("limit-mc", "v0", "inf"),
-    ("limit-mc", "T", "1e308"),
-    ("limit-mc", "dt", "5e-324"),
-    ("limit-mc", "v0", "1e308"),
-    ("hydro", "dt_pde", "0"),
-    ("limit-pde", "init.params", "5e-324"),
-    ("density", "init.params", "5e-324"),
-    ("simulate", "v0", "1e308"),
-    ("chaos", "v0", "1e308"),
-    ("hydro", "v0", "1e308"),
-    ("chaos", "pair", "1"),
-])
+@pytest.mark.parametrize("command, key, value", list(BAD_VALUES))
 def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, key, value):
     keys = {**BASE_KEYS[command], key: value}
     cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
@@ -118,6 +125,52 @@ def test_bad_numeric_config_exits_one_with_one_line(tmp_path, capsys, command, k
         assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert BAD_VALUES[command, key, value] in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("hydro", "x_max", "3.0"),
+    ("hydro", "tol", "1e-3"),
+    ("chaos", "dx", "2e-2"),
+    ("density", "K", "1.0"),
+    ("simulate", "M", "200"),
+])
+def test_key_the_subcommand_never_reads_exits_one(tmp_path, capsys, command, key, value):
+    keys = {**BASE_KEYS[command], key: value}
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unknown key {key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+# The callables that each subcommand's config keys are passed to, by name.
+# density's v0 fills none: it is the slope of the prescribed barrier y = v0*t.
+KEY_TARGETS = {
+    "simulate": (SimConfig,),
+    "limit-mc": (solve_limit_mc,),
+    "limit-pde": (solve_limit_pde,),
+    "density": (density_fixed_barrier,),
+    "hydro": (SimConfig, hydro_convergence),
+    "chaos": (SimConfig, chaos_test),
+    "gamma-rate": (gamma_rate_study,),
+}
+FILLED_BY_THE_HANDLER = {"seed", "base", "g"}  # --seed, the SimConfig, density's barrier
+
+
+def test_table_keys_are_the_parameters_of_the_callees():
+    assert set(_SUBCOMMANDS) == set(KEY_TARGETS) | {"selftest"}
+    assert _SUBCOMMANDS["selftest"].required is None
+    for command, fns in KEY_TARGETS.items():
+        entry = _SUBCOMMANDS[command]
+        required = {"init" if k.startswith("init.") else k for k in entry.required}
+        optional = set(entry.optional)
+        params = [p for fn in fns for p in inspect.signature(fn).parameters.values()]
+        names = {p.name for p in params} | ({"v0"} if command == "density" else set())
+        assert required | optional <= names, command
+        needed = {p.name for p in params if p.default is p.empty} - FILLED_BY_THE_HANDLER
+        assert needed <= required, command
 
 
 def test_limit_pde_overflowing_barrier_exits_one_with_one_line(tmp_path, capsys):
@@ -318,7 +371,7 @@ pair = 1, 2
 def test_chaos_with_no_spread_exits_two_without_a_table(tmp_path, capsys):
     # v0 = 1e308 keeps a 4- or 8-particle barrier finite, but every final
     # position rounds to the same value, so no correlation exists.
-    keys = {**HYDRO_KEYS, "v0": "1e308", "n_list": "4, 8", "reps": "3"}
+    keys = {**CHAOS_KEYS, "v0": "1e308", "n_list": "4, 8"}
     cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -372,7 +425,7 @@ OPTIONAL_KEYS = {
     "limit-mc": (solve_limit_mc, ("tol", "max_iter"), {**MC_KEYS, "K": "2.0"}),
     "hydro": (hydro_convergence, ("dx",),
               {**{k: v for k, v in HYDRO_KEYS.items() if k != "dx"}, "T": "0.0625"}),
-    "chaos": (chaos_test, ("pair",), {**HYDRO_KEYS, "n_list": "4", "reps": "3"}),
+    "chaos": (chaos_test, ("pair",), {**CHAOS_KEYS, "n_list": "4"}),
     "gamma-rate": (gamma_rate_study, ("K", "v0", "n", "T"), {}),
 }
 
