@@ -75,7 +75,7 @@ def test_memory_error_exits_one_with_a_message(tmp_path, sim_config, capsys, mon
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
 
-# Each subcommand's required keys for a tiny run, and no key it does not read.
+# The keys of a tiny run of each subcommand, each one a key that subcommand reads.
 PDE_KEYS = {"T": "0.05", "dt_pde": "1e-4", "dx": "1e-2", "K": "1.0", "v0": "0.5",
             "init.kind": "exponential", "init.params": "2.0"}
 DENSITY_KEYS = {k: v for k, v in PDE_KEYS.items() if k != "K"}
