@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError, NumericalError
 from .gamma import check_barrier_parameters
@@ -364,6 +363,7 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray)
     `rhs`.  The function keeps scipy's name because `bench/spans.py` times
     and counts the Crank-Nicolson solves through `meanfield.solve_banded`.
     """
+    from scipy.linalg.lapack import dgtsv  # here, so reading results back loads no scipy
     *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                         overwrite_b=1)
     if info:
@@ -443,6 +443,7 @@ class _FrameStepper:
         self.x = dx * np.arange(self.J + 1)
         self.weights = _trapezoid_weights(self.J, dx)
         self.stride = _pick_stride(self.nsteps)
+        import scipy.linalg.lapack  # loads LAPACK here, so the first step times the solve alone
         # Two right-hand sides, used in turn: each step's solution is the next step's u.
         self.bands = (np.empty(self.J), np.empty(self.J + 1), np.empty(self.J))
         self.rhs = (np.empty(self.J + 1), np.empty(self.J + 1))

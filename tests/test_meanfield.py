@@ -1,5 +1,8 @@
 """Mean-field solvers: Monte Carlo fixed point, moving-frame PDE, oracles."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +219,15 @@ def test_solve_banded_equals_scipy_bitwise(peclet, dx, frac, J, seed):
     want = scipy.linalg.solve_banded((1, 1), ab, rhs)
     got = meanfield.solve_banded(dl, d, du, rhs.copy())
     assert got.tobytes() == want.tobytes()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """LAPACK is imported when a PDE solve starts, not with the package."""
+    src = os.path.dirname(os.path.dirname(meanfield.__file__))
+    code = "import sys, inertbarrier.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_pde_rejects_initial_kind_without_density(tmp_path):
