@@ -73,8 +73,11 @@ def _config(args, command: _Subcommand) -> dict:
         return {}
     if args.config is None:
         raise InvalidInputError(f"{args.command} requires --config")
-    with open(args.config) as fh:
-        return parse_config(fh.read(), command.required, command.optional)
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            return parse_config(fh.read(), command.required, command.optional)
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"config {args.config!r} is not UTF-8 text: {exc}") from None
 
 
 def _study_args(args, cfg: dict) -> dict:

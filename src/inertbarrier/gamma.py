@@ -93,9 +93,10 @@ class BarrierRecursion:
 
     n drivers on `nsteps` steps of dt; the velocity is refreshed from the
     regulators every `stride` steps.  Each `run` takes the drivers of the next
-    block of steps and fills in y, v and that block's regulators.  Blocks of
-    any lengths give the values one block over the whole horizon gives, bit
-    for bit.
+    block of steps and fills in y, v and that block's regulators, which start
+    at zero (every driver starts at or above y(0) = 0) and carry over from
+    block to block.  Blocks of any lengths give the values one block over the
+    whole horizon gives, bit for bit.
     """
 
     def __init__(self, n: int, nsteps: int, dt: float, v0: float, K: float, stride: int = 1):
@@ -104,25 +105,24 @@ class BarrierRecursion:
         self.y[0] = 0.0
         self.v = np.empty(nsteps + 1)
         self.k = 0  # the step that the next block starts at
+        self.m = np.zeros(n)  # the regulators at step k
         self._slope = v0
 
     def run(self, ft: np.ndarray, m: np.ndarray) -> None:
         """Advance over steps k..k+b, given the drivers ft (b+1, n) on them.
 
-        Row j of ft and of m is step k+j, one value per driver.  The
-        regulators are written into m; its row 0 must hold those at step k,
-        except in the first block, where they come from ft[0].  Raises
+        Row j of ft and of m is step k+j, one value per driver.  Every row of
+        m is written, row 0 with the regulators carried to step k.  Raises
         InvalidInputError when the barrier leaves the float64 range.
         """
         y, v, dt, v0, k0 = self.y, self.v, self.dt, self.v0, self.k
         b = ft.shape[0] - 1
         scale = self.K / self.n
         slope = self._slope
+        m[0] = self.m
         with np.errstate(over="ignore", invalid="ignore"):
-            if k0 == 0:
-                np.maximum(y[0] - ft[0], 0.0, out=m[0])
             for j, k in enumerate(range(k0, k0 + b)):
-                if k > 0 and k % self.stride == 0:
+                if k % self.stride == 0:
                     slope = v0 - scale * float(np.add.reduce(m[j]))
                 y[k + 1] = y[k] + slope * dt
                 np.maximum(m[j], y[k + 1] - ft[j + 1], out=m[j + 1])
@@ -132,6 +132,7 @@ class BarrierRecursion:
             raise InvalidInputError(
                 f"barrier values must be finite: v0 = {v0} or K = {self.K} overflows float64"
             )
+        self.m[:] = m[b]
         self._slope, self.k = slope, k0 + b
 
     def barrier(self, t0: float = 0.0) -> BarrierTrajectory:

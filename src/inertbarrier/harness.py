@@ -148,8 +148,7 @@ def chaos_test(
         xi_vals = np.empty(reps)
         xj_vals = np.empty(reps)
         for r in range(reps):
-            traj = simulate(replace(base, n=n, seed=rep_seeds[r]), keep=j)
-            x_final = traj.particles.values[:, -1]
+            x_final = simulate(replace(base, n=n, seed=rep_seeds[r]), keep=0).final
             xi_vals[r] = x_final[i - 1]
             xj_vals[r] = x_final[j - 1]
         with np.errstate(all="ignore"):

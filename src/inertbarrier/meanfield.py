@@ -12,8 +12,8 @@ Two independent solvers for the limiting barrier:
   path keeps a checkpoint at the start of the current window (its stream
   state, B and its running regulator), so a sweep draws only the window's
   steps, in cache-sized blocks of paths.  The drivers of the leading paths
-  are kept over the window: its first sweep draws them and moves their
-  checkpoints to the window's end, and later sweeps read them.  A converged
+  are kept over the window: they are drawn when it opens, which moves their
+  checkpoints to the window's end, and every sweep reads them.  A converged
   window ends with one commit pass against the final barrier, which gives
   m_mean there and moves the other checkpoints to the window's end.
 
@@ -80,8 +80,8 @@ _SWEEP_CHUNK = 4096
 # (1.3 MB over a window of 1 272 steps), ...
 _SWEEP_BLOCK = 128
 # ... and keeps the drivers of the leading paths over the current window: this
-# many paths over the longest window, more over a shorter one.  The window's
-# first sweep draws them and the later sweeps read them.  Cache and block
+# many paths over the longest window, more over a shorter one.  They are drawn
+# when the window opens and every sweep reads them.  Cache and block
 # together take no more memory than one chunk over the longest window.
 _SWEEP_CACHE = 3840
 
@@ -149,7 +149,7 @@ class ConsistencyReport:
 
 def _mean_regulator_sweep(
     y: np.ndarray, drivers: DriverCheckpoints, M: int, nsteps: int, reg: np.ndarray,
-    cache: np.ndarray, block: np.ndarray, cached: bool = False, advance: bool = False,
+    cache: np.ndarray, block: np.ndarray, advance: bool = False,
 ) -> np.ndarray:
     """mean_j over M paths of the running regulator against barrier y on steps k..k+nsteps.
 
@@ -160,40 +160,30 @@ def _mean_regulator_sweep(
     `block`: rows 1.. hold the block's paths and row 0 the chunk's sum so
     far, so one reduction per block adds the paths in row order.
 
-    `cache` (c, nsteps+1) holds f = xi + B of paths 0..c-1 when cached=True.
-    Otherwise they are drawn into it and their checkpoints move on to step
-    k+nsteps, since the later sweeps over these steps read them from the
-    cache.  Paths c.. are drawn every time; with advance=True their
-    checkpoints move on too, and reg moves on for every path.
+    `cache` (c, nsteps+1) holds f = xi + B of paths 0..c-1 on these steps.
+    Paths c.. are drawn every time; with advance=True their checkpoints move
+    on to step k+nsteps, and reg moves on for every path.
     """
     width = nsteps + 1
     total = np.zeros(width)
-    part = np.empty(width)
     for lo in range(0, M, _SWEEP_CHUNK):
         hi = min(M, lo + _SWEEP_CHUNK)
+        part = np.zeros(width)
         for b0 in range(lo, hi, _SWEEP_BLOCK):
             b1 = min(hi, b0 + _SWEEP_BLOCK)
             rows = block[: (b1 - b0 + 1) * width].reshape(b1 - b0 + 1, width)
             f = rows[1:]
             split = min(max(len(cache), b0), b1)  # paths b0..split-1 are in the cache
-            if split > b0:
-                if not cached:
-                    drivers.window(b0, split, nsteps, cache[b0:split], advance=True)
-                np.subtract(y[None, :], cache[b0:split], out=f[: split - b0])
-            if b1 > split:
-                drawn = f[split - b0 :]
-                drivers.window(split, b1, nsteps, drawn, advance)
-                np.subtract(y[None, :], drawn, out=drawn)
+            np.subtract(y[None, :], cache[b0:split], out=f[: split - b0])
+            drawn = drivers.window(split, b1, nsteps, f[split - b0 :], advance)
+            np.subtract(y[None, :], drawn, out=drawn)
             np.maximum(f, 0.0, out=f)
             f[:, 0] = reg[b0:b1]
             np.maximum.accumulate(f, axis=1, out=f)
             if advance:
                 reg[b0:b1] = f[:, -1]
-            if b0 == lo:
-                np.add.reduce(f, axis=0, out=part)
-            else:
-                rows[0] = part
-                np.add.reduce(rows, axis=0, out=part)
+            rows[0] = part
+            np.add.reduce(rows, axis=0, out=part)
         total += part
     return total / M
 
@@ -286,11 +276,12 @@ def solve_limit_mc(
     for k0, k1 in windows:
         rows = min(M, cache_buf.size // (k1 - k0 + 1))
         cache = cache_buf[: rows * (k1 - k0 + 1)].reshape(rows, k1 - k0 + 1)
+        drivers.window(0, rows, k1 - k0, cache, advance=True)
         prev_resid = math.inf
-        for sweep in range(max_iter):
+        for _ in range(max_iter):
             with np.errstate(over="ignore", invalid="ignore"):
                 m_win = _mean_regulator_sweep(
-                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, cache, block, cached=sweep > 0
+                    y[k0 : k1 + 1], drivers, M, k1 - k0, reg, cache, block
                 )
                 v = v0 - K * m_win
                 y_new = y.copy()
@@ -317,7 +308,7 @@ def solve_limit_mc(
         # Commit: m_mean against the final barrier on this window; the
         # checkpoints of the paths outside the cache move to k1 for the next one.
         m_mean[k0 : k1 + 1] = _mean_regulator_sweep(
-            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, cache, block, cached=True, advance=True
+            y[k0 : k1 + 1], drivers, M, k1 - k0, reg, cache, block, advance=True
         )
 
     v = v0 - K * m_mean
@@ -377,22 +368,22 @@ def _cn_step(u: np.ndarray, coefficients, h: float, bands, rhs: np.ndarray) -> n
     Entry j of the right-hand side is u_j + h*(diag*u_j), then
     + (h*upper)*u_{j+1}, then + (h*lower)*u_{j-1}, in that order.  `bands` =
     (dl, d, du) and `rhs` are filled in place; the products of the off-diagonal
-    terms pass through dl and du before the bands are written.  Returns u_new
-    in `rhs`, so `rhs` must not be u.
+    terms pass through dl and du before the bands are written.  Row J of A is
+    zero, so the far node's rows are the identity's.  Returns u_new in `rhs`,
+    so `rhs` must not be u.
     """
     lower, diag, upper, diag0, upper0 = coefficients
     dl, d, du = bands
     np.multiply(u, diag, out=rhs)
-    rhs[0], rhs[-1] = diag0 * u[0], 0.0 * u[-1]
+    rhs[0], rhs[-1] = diag0 * u[0], 0.0
     rhs *= h
     rhs += u
     rhs[0] += (h * upper0) * u[1]
     rhs[1:-1] += np.multiply(h * upper, u[2:], out=du[1:])
     rhs[1:-1] += np.multiply(h * lower, u[:-2], out=dl[:-1])
-    rhs[-1] += (h * 0.0) * u[-2]
     du[0], du[1:] = -h * upper0, -h * upper
-    d[0], d[1:-1], d[-1] = 1.0 - h * diag0, 1.0 - h * diag, 1.0 - h * 0.0
-    dl[:-1], dl[-1] = -h * lower, -h * 0.0
+    d[0], d[1:-1], d[-1] = 1.0 - h * diag0, 1.0 - h * diag, 1.0
+    dl[:-1], dl[-1] = -h * lower, 0.0
     return solve_banded(dl, d, du, rhs)
 
 

@@ -358,7 +358,8 @@ def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, 
     if out is None:
         out = np.empty((hi - lo, nsteps + 1))
     streams, out[:, 0] = start
-    for row, g in zip(out, streams):
+    # Streams first, so that a generator of them sees each draw end.
+    for g, row in zip(streams, out):
         g.standard_normal(out=row[1:])
     out[:, 1:] *= np.sqrt(dt)
     np.add.accumulate(out, axis=1, out=out)
@@ -456,13 +457,10 @@ class DriverCheckpoints:
     def _streams(self, lo: int, hi: int, advance: bool):
         """The shared generator, restored to each checkpoint of lo..hi-1 in turn.
 
-        With advance=True, restoring path i first saves path i-1's state;
-        `window` saves the last one.
+        With advance=True, each path's state is saved once its draw is done.
         """
         bitgen = self._gen.bit_generator
         for i, (sh, sl, ih, il) in enumerate(self.state[lo:hi].tolist(), start=lo):
-            if advance and i > lo:
-                self.state[i - 1] = _pack_state(bitgen)
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
@@ -470,13 +468,14 @@ class DriverCheckpoints:
                 "uinteger": 0,
             }
             yield self._gen
+            if advance:
+                self.state[i] = _pack_state(bitgen)
 
     def window(self, lo: int, hi: int, nsteps: int, out: np.ndarray, advance: bool = False):
         """f of particles lo..hi-1 on steps k..k+nsteps, written into out (hi-lo, nsteps+1)."""
         start = (self._streams(lo, hi, advance), self.b[lo:hi])
         f = _brownian_chunk(self.seed, lo, hi, nsteps, self.dt, start, out)
         if advance:
-            self.state[hi - 1] = _pack_state(self._gen.bit_generator)
             self.b[lo:hi] = f[:, -1]
         f += self.xi[lo:hi, None]
         return f
@@ -533,7 +532,6 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
         x_kept[:, k0 : k0 + b + 1] = (f[:, :keep] + m[:, :keep]).T
         m_kept[:, k0 : k0 + b + 1] = m[:, :keep].T
         b_start = w[:, b]  # read into column 0 before the next block's draws overwrite it
-        mt[0] = m[b]
     return ParticleSystemTrajectory(
         config=config,
         barrier=recursion.barrier(),

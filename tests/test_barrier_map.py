@@ -7,6 +7,7 @@ import pytest
 
 from inertbarrier.errors import InvalidInputError
 from inertbarrier.gamma import (
+    BarrierRecursion,
     lipschitz_envelope,
     refinement_bound,
     solve_gamma,
@@ -91,6 +92,23 @@ def test_matches_brute_force_recursion(rng):
         res = solve_gamma(f, v0=v0, K=K)
         y_ref = brute_force_barrier(f, v0, K, 5e-3)
         np.testing.assert_allclose(res.barrier.y.values, y_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("edges", [(0, 1, 2, 40), (0, 7, 20, 33, 40)])
+def test_recursion_blocks_into_fresh_buffers_equal_one_block(rng, stride, edges):
+    n, nsteps, dt = 5, 40, 1 / 32
+    ft = np.abs(np.cumsum(rng.standard_normal((nsteps + 1, n)), axis=0))
+    whole = BarrierRecursion(n, nsteps, dt, 0.5, 2.0, stride)
+    m_whole = np.empty_like(ft)
+    whole.run(ft, m_whole)
+    blocks = BarrierRecursion(n, nsteps, dt, 0.5, 2.0, stride)
+    for k0, k1 in zip(edges, edges[1:]):
+        m = np.full((k1 - k0 + 1, n), np.nan)  # each block fills every row of its own buffer
+        blocks.run(ft[k0 : k1 + 1], m)
+        assert m.tobytes() == m_whole[k0 : k1 + 1].tobytes()
+    assert blocks.y.tobytes() == whole.y.tobytes()
+    assert blocks.v.tobytes() == whole.v.tobytes()
 
 
 def test_coarse_lattice_matches_brute_force_on_lattice(rng):

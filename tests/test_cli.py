@@ -205,6 +205,16 @@ def test_out_naming_a_file_exits_one_with_one_line(tmp_path, sim_config, capsys)
     assert out.read_text() == "not a directory\n"
 
 
+def test_config_that_is_not_utf8_exits_one_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_bytes(b"\xff\xfe" + SIM_CONFIG.encode())
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path, sim_config, capsys):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["simulate", "--config", sim_config, "--out", str(out1), "--quiet"]) == 0

@@ -195,8 +195,8 @@ def test_singular_tridiagonal_solve_raises_numerical_error():
 def cn_bands(c, dx, h, J):
     """(dl, d, du) of I - h*A(c), as `_cn_step` writes them."""
     lower, diag, upper, diag0, upper0 = meanfield._operator_coefficients(c, dx)
-    dl = np.append(np.full(J - 1, -h * lower), -h * 0.0)
-    d = np.concatenate(([1.0 - h * diag0], np.full(J - 1, 1.0 - h * diag), [1.0 - h * 0.0]))
+    dl = np.append(np.full(J - 1, -h * lower), 0.0)
+    d = np.concatenate(([1.0 - h * diag0], np.full(J - 1, 1.0 - h * diag), [1.0]))
     du = np.append(-h * upper0, np.full(J - 1, -h * upper))
     return dl, d, du
 

@@ -78,3 +78,13 @@ def test_bad_seed_and_range_are_rejected():
         particle_streams(0, -1, 2)
     with pytest.raises(InvalidInputError, match="lo <= hi"):
         particle_streams(0, 0, 2**64 + 1)
+
+
+@pytest.mark.parametrize("lo", [0, 2, 5])
+def test_an_empty_advancing_window_leaves_every_checkpoint(lo):
+    drivers = particles.DriverCheckpoints(particles.InitialDistribution.delta(0.0), 3, 5, 0.01)
+    drivers.window(0, 2, 4, np.empty((2, 5)))
+    state, b = drivers.state.copy(), drivers.b.copy()
+    drivers.window(lo, lo, 4, np.empty((0, 5)), advance=True)
+    assert drivers.state.tobytes() == state.tobytes()
+    assert drivers.b.tobytes() == b.tobytes()
