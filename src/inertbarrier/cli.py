@@ -120,11 +120,11 @@ def _cmd_limit_mc(args, cfg) -> int:
 
 def _cmd_limit_pde(args, cfg) -> int:
     field = solve_limit_pde(**cfg)
+    report = consistency_check(field)
     dens_path = _outpath(args, "density.csv")
     barr_path = _outpath(args, "barrier_pde.csv")
     write_density_field(dens_path, field)
     write_field_barrier(barr_path, field)
-    report = consistency_check(field)
     _say(args, f"y(T)={field.y.values[-1]:.6g} mass drift {field.mass_drift:.3e} "
                f"free-boundary residual {report.max_residual:.3e}")
     _say(args, f"wrote {dens_path}, {barr_path}")
@@ -256,3 +256,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -259,10 +259,10 @@ def solve_limit_mc(
         y = v0 * times
     elif callable(y_init):
         y = np.asarray([y_init(t) for t in times], dtype=np.float64)
+        if not (np.all(np.isfinite(y)) and y[0] == 0):
+            raise InvalidInputError("initial guess must be finite and start at y(0) = 0")
     else:
         raise InvalidInputError("y_init must be None or a callable t -> y")
-    if abs(y[0]) > 0:
-        raise InvalidInputError("initial guess must start at y(0) = 0")
 
     windows = _window_bounds(nsteps, dt, K)
     width = max(k1 - k0 for k0, k1 in windows) + 1

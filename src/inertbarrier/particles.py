@@ -8,9 +8,10 @@ bitwise-identical trajectories.  This module is the only one that builds or
 draws from those streams, and all of them come from `particle_streams`: it
 runs SeedSequence's hash over many i at once, and `particle_stream` seeds
 each PCG64 with the resulting words, bit for bit the generator above.  The
-uncoupled evaluators take fresh drivers from `driver_chunks`; the mean-field
-Picard solver holds a `DriverCheckpoints`, which builds each stream once per
-solve and afterwards resumes it from a packed generator state.  `simulate`
+uncoupled evaluators draw fresh drivers through `_uncoupled_finals`, into one
+buffer that every chunk of particles reuses; the mean-field Picard solver
+holds a `DriverCheckpoints`, which builds each stream once per solve and
+afterwards resumes it from a packed generator state.  `simulate`
 keeps every particle's live generator and draws the horizon block by block.
 """
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "ParticleSystemTrajectory",
     "sample_brownian",
     "sample_initial",
-    "driver_chunks",
     "DriverCheckpoints",
     "simulate",
     "snapshot",
@@ -406,21 +406,6 @@ def sample_initial(init: InitialDistribution, n: int, seed) -> np.ndarray:
     return _initial_chunk(init, seed, 0, n)
 
 
-def driver_chunks(init: InitialDistribution, seed, n: int, nsteps: int, dt: float, chunk: int):
-    """Drivers f_i = xi_i + B_i of particles 0..n-1, `chunk` particles at a time.
-
-    Yields (lo, hi, f) with f of shape (hi-lo, nsteps+1) holding particles
-    lo..hi-1.  Each f is a fresh array the caller may overwrite.  The n
-    initial positions are drawn once, before the first chunk.
-    """
-    xi = sample_initial(init, n, seed)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        f = _brownian_chunk(seed, lo, hi, nsteps, dt)
-        f += xi[lo:hi, None]
-        yield lo, hi, f
-
-
 _WORD = (1 << 64) - 1
 
 
@@ -441,7 +426,7 @@ class DriverCheckpoints:
     stream after k normals, packed in four uint64: 48 bytes.  Each stream is
     built once, at k = 0.  `window` draws steps k..k+nsteps from the
     checkpoint as often as asked, and with advance=True moves it to
-    k+nsteps.  The values equal those of `driver_chunks` over the same steps.
+    k+nsteps.  The values equal those of a fresh draw over the same steps.
     """
 
     def __init__(self, init: InitialDistribution, seed, n: int, dt: float):
@@ -460,7 +445,7 @@ class DriverCheckpoints:
         With advance=True, each path's state is saved once its draw is done.
         """
         bitgen = self._gen.bit_generator
-        for i, (sh, sl, ih, il) in enumerate(self.state[lo:hi].tolist(), start=lo):
+        for i, (sh, sl, ih, il) in enumerate(map(np.ndarray.tolist, self.state[lo:hi]), start=lo):
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
@@ -550,6 +535,24 @@ def snapshot(traj: ParticleSystemTrajectory, t: float) -> EmpiricalMeasure:
     return EmpiricalMeasure.from_samples(traj.particles.values[:, k])
 
 
+def _uncoupled_finals(y: np.ndarray, init: InitialDistribution, n: int, seed, dt: float):
+    """f_i(T) and m_i(T) = max(0, max_k (y_k - f_i(t_k))) of n particles above barrier y.
+
+    The drivers f_i = xi_i + B_i are drawn `_UNCOUPLED_CHUNK` particles at a
+    time into one buffer that every chunk reuses.
+    """
+    xi = sample_initial(init, n, seed)
+    final, m = np.empty(n), np.empty(n)
+    buf = np.empty((min(n, _UNCOUPLED_CHUNK), len(y)))
+    for lo in range(0, n, _UNCOUPLED_CHUNK):
+        hi = min(n, lo + _UNCOUPLED_CHUNK)
+        f = _brownian_chunk(seed, lo, hi, len(y) - 1, dt, out=buf[: hi - lo])
+        f += xi[lo:hi, None]
+        final[lo:hi] = f[:, -1]
+        np.max(np.subtract(y, f, out=f), axis=1, out=m[lo:hi])
+    return final, np.maximum(m, 0.0, out=m)
+
+
 def mean_regulator_uncoupled(
     n: int,
     T: float,
@@ -566,12 +569,10 @@ def mean_regulator_uncoupled(
     """
     if init is None:
         init = InitialDistribution.delta(0.0)
-    nsteps = uniform_grid(T, dt)
-    line = v0 * (dt * np.arange(nsteps + 1))
+    _, m = _uncoupled_finals(v0 * (dt * np.arange(uniform_grid(T, dt) + 1)), init, n, seed, dt)
     total = 0.0
-    for _, _, f in driver_chunks(init, seed, n, nsteps, dt, _UNCOUPLED_CHUNK):
-        deficit = np.max(line[None, :] - f, axis=1)
-        total += float(np.add.reduce(np.maximum(deficit, 0.0)))
+    for lo in range(0, n, _UNCOUPLED_CHUNK):
+        total += float(np.add.reduce(m[lo : lo + _UNCOUPLED_CHUNK]))
     return total / n
 
 
@@ -586,10 +587,4 @@ def uncoupled_positions(
     Zero-impulse dynamics with a prescribed barrier path; memory use is
     bounded by the chunk size.  g must start at the particles' time origin.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    out = np.empty(n)
-    for lo, hi, f in driver_chunks(init, seed, n, g.n_steps, g.dt, _UNCOUPLED_CHUNK):
-        m = np.maximum(np.max(g.values[None, :] - f, axis=1), 0.0)
-        out[lo:hi] = f[:, -1] + m
-    return out
+    return np.add(*_uncoupled_finals(g.values, init, n, seed, g.dt))  # f_i(T) + m_i(T)

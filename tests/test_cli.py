@@ -1,10 +1,13 @@
 """Exit codes, artifact layout, and byte-stable output of the command line."""
 import inspect
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from inertbarrier import cli
 from inertbarrier.cli import _SUBCOMMANDS, run
 from inertbarrier.harness import RateRow, chaos_test, gamma_rate_study, hydro_convergence
 from inertbarrier.meanfield import density_fixed_barrier, solve_limit_mc, solve_limit_pde
@@ -183,6 +186,25 @@ def test_limit_pde_overflowing_barrier_exits_one_with_one_line(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows float64" in err and "Traceback" not in err
+
+
+def test_limit_pde_failed_report_exits_one_without_outputs(tmp_path, capsys):
+    # one step gives two output times; the consistency check needs three
+    keys = {**PDE_KEYS, "T": "1e-4", "dt_pde": "1e-4"}
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    assert run(["limit-pde", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: need at least three output times\n"
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "inertbarrier.cli", "limit-mc"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr == "error: limit-mc requires --config\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "limit-mc", "hydro", "chaos", "selftest"])

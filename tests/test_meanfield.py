@@ -93,6 +93,21 @@ def test_mc_nonconvergence_raises_with_residual():
     assert info.value.residual > 0.0
 
 
+@pytest.mark.parametrize("y_init", [
+    lambda t: math.nan if t == 0 else 0.0,
+    lambda t: math.inf if t > 0.5 else 0.0,
+    lambda t: 0.1 + t,
+], ids=["nan at 0", "inf later", "starts at 0.1"])
+def test_mc_rejects_a_bad_initial_guess_before_any_sweep(monkeypatch, y_init):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(meanfield, "_mean_regulator_sweep", no_sweep)
+    with pytest.raises(InvalidInputError,
+                       match=r"^initial guess must be finite and start at y\(0\) = 0$"):
+        solve_limit_mc(DELTA0, v0=0.0, K=1.0, T=1.0, dt=1e-2, M=50, seed=4, y_init=y_init)
+
+
 # --- free-boundary PDE -----------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -185,6 +200,20 @@ def test_nan_mass_trips_mass_monitor():
     u[3] = np.nan
     with pytest.raises(MassDriftError, match="nan"):
         stepper.monitor(u)
+
+
+def test_undershoot_is_clipped_and_counted_below_the_report_level():
+    stepper = meanfield._FrameStepper(DELTA0, 0.25, 4e-4, 2e-2, None, 0.0)
+    assert stepper.clip_events == 0
+    u = stepper.u0.copy()
+    u[-3] = 10 * meanfield.CLIP_REPORT_LEVEL  # below the report level: clipped and counted
+    u[-2] = 0.1 * meanfield.CLIP_REPORT_LEVEL  # between it and 0: clipped only
+    clipped = stepper.monitor(u)
+    assert clipped[-3] == 0.0 and clipped[-2] == 0.0
+    np.testing.assert_array_equal(clipped[:-3], stepper.u0[:-3])
+    assert stepper.clip_events == 1
+    assert stepper.min_u == 10 * meanfield.CLIP_REPORT_LEVEL
+    assert stepper.mass_drift <= meanfield.MASS_DRIFT_LIMIT
 
 
 def test_singular_tridiagonal_solve_raises_numerical_error():

@@ -3,11 +3,12 @@
 `solve_limit_mc` resumes each path from a checkpoint at the start of the
 current window and draws only that window's steps.  The reference below is
 the loop it replaced: every sweep redraws all paths over the whole horizon
-with `driver_chunks`, and one closing sweep gives m_mean and v against the
-final barrier.  Both must give the same LimitBarrier, or the same
-ConvergenceError with the same residual.  The sweep's chunk, block and driver
-cache sizes are set per case, so that the cache ends before the first path,
-at a block edge, inside a block or past the last path.
+with `sample_brownian` and `sample_initial`, and one closing sweep gives
+m_mean and v against the final barrier.  Both must give the same
+LimitBarrier, or the same ConvergenceError with the same residual.  The
+sweep's chunk, block and driver cache sizes are set per case, so that the
+cache ends before the first path, at a block edge, inside a block or past
+the last path.
 """
 import math
 
@@ -19,12 +20,15 @@ from hypothesis import strategies as st
 from inertbarrier import meanfield
 from inertbarrier.errors import ConvergenceError
 from inertbarrier.meanfield import _window_bounds, solve_limit_mc
-from inertbarrier.particles import InitialDistribution, driver_chunks
+from inertbarrier.particles import InitialDistribution, sample_brownian, sample_initial
 
 
 def _full_sweep(y, init, M, nsteps, dt, seed, chunk):
+    xi = sample_initial(init, M, seed)
+    drivers = sample_brownian(M, nsteps * dt, dt, seed).values + xi[:, None]
     total = np.zeros(nsteps + 1)
-    for _, _, f in driver_chunks(init, seed, M, nsteps, dt, chunk):
+    for lo in range(0, M, chunk):
+        f = drivers[lo : lo + chunk]
         np.subtract(y[None, :], f, out=f)
         np.maximum(f, 0.0, out=f)
         np.maximum.accumulate(f, axis=1, out=f)
