@@ -112,8 +112,9 @@ class BarrierRecursion:
         """Advance over steps k..k+b, given the drivers ft (b+1, n) on them.
 
         Row j of ft and of m is step k+j, one value per driver.  Every row of
-        m is written, row 0 with the regulators carried to step k.  Raises
-        InvalidInputError when the barrier leaves the float64 range.
+        m is written, row 0 with the regulators carried to step k.  m may be
+        ft itself: row j+1 of the drivers is read before it is overwritten.
+        Raises InvalidInputError when the barrier leaves the float64 range.
         """
         y, v, dt, v0, k0 = self.y, self.v, self.dt, self.v0, self.k
         b = ft.shape[0] - 1

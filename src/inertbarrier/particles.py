@@ -12,7 +12,9 @@ uncoupled evaluators draw fresh drivers through `_uncoupled_finals`, into one
 buffer that every chunk of particles reuses; the mean-field Picard solver
 holds a `DriverCheckpoints`, which builds each stream once per solve and
 afterwards resumes it from a packed generator state.  `simulate`
-keeps every particle's live generator and draws the horizon block by block.
+keeps every particle's live generator and draws the horizon block by block,
+on one helper thread that runs a block ahead of the barrier recursion.  Every
+draw goes through `_brownian_chunk`, and `_paths` sums the row-major ones.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ _INIT_KINDS = {
 }
 
 # `simulate` runs the horizon in time blocks of about this many driver values
-# (32 MB in each of its three block buffers), ...
+# (32 MB in each of its three block buffers: two drawn, one time-major), ...
 _BLOCK_VALUES = 1 << 22
 # ... but never of fewer steps than this: each particle's draw call costs
 # about 1.2 us, which short blocks would repeat too often.
@@ -342,16 +344,14 @@ class ParticleSystemTrajectory:
             )
 
 
-def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, out=None):
-    """Brownian paths of particles lo..hi-1 over nsteps steps: shape (hi-lo, nsteps+1).
+def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, start=None, out=None):
+    """Standard normals of particles lo..hi-1 for nsteps steps: shape (hi-lo, nsteps+1).
 
+    Column 0 holds B(k) and columns 1.. the raw normals of steps k+1..k+nsteps.
     Each path starts at B(0) = 0 on a fresh stream, unless `start` =
     (streams, b) continues it: hi-lo generators that have drawn the first k
-    normals, and the values B(k).  The cumulative sum then runs on from B(k)
-    in column 0, so column j holds B(k+j) as one long draw gives it.  The
-    paths are written into `out` when it is given.  Each row takes one
-    draw call; the scaling and the cumulative sum run once over the chunk,
-    row by row in sequence, so the values match a path drawn on its own.
+    normals, and the values B(k).  The draws are written into `out` when it
+    is given.  Each row takes one draw call; `_paths` turns rows into paths.
     """
     if start is None:
         start = (particle_streams(seed, lo, hi), 0.0)
@@ -361,9 +361,17 @@ def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, dt: float, start=None, 
     # Streams first, so that a generator of them sees each draw end.
     for g, row in zip(streams, out):
         g.standard_normal(out=row[1:])
-    out[:, 1:] *= np.sqrt(dt)
-    np.add.accumulate(out, axis=1, out=out)
     return out
+
+
+def _paths(w: np.ndarray, dt: float) -> np.ndarray:
+    """`_brownian_chunk`'s draws w made into paths in place: column j becomes B(k+j).
+
+    The scaling and the cumulative sum run row by row in sequence, so the
+    values match a path drawn on its own.
+    """
+    w[:, 1:] *= np.sqrt(dt)
+    return np.add.accumulate(w, axis=1, out=w)
 
 
 def _initial_chunk(init: InitialDistribution, seed, lo: int, hi: int) -> np.ndarray:
@@ -396,7 +404,7 @@ def sample_brownian(n: int, T: float, dt: float, seed) -> PathBundle:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     nsteps = uniform_grid(T, dt)
-    return PathBundle(0.0, dt, _brownian_chunk(seed, 0, n, nsteps, dt))
+    return PathBundle(0.0, dt, _paths(_brownian_chunk(seed, 0, n, nsteps), dt))
 
 
 def sample_initial(init: InitialDistribution, n: int, seed) -> np.ndarray:
@@ -459,7 +467,7 @@ class DriverCheckpoints:
     def window(self, lo: int, hi: int, nsteps: int, out: np.ndarray, advance: bool = False):
         """f of particles lo..hi-1 on steps k..k+nsteps, written into out (hi-lo, nsteps+1)."""
         start = (self._streams(lo, hi, advance), self.b[lo:hi])
-        f = _brownian_chunk(self.seed, lo, hi, nsteps, self.dt, start, out)
+        f = _paths(_brownian_chunk(self.seed, lo, hi, nsteps, start, out), self.dt)
         if advance:
             self.b[lo:hi] = f[:, -1]
         f += self.xi[lo:hi, None]
@@ -472,8 +480,10 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
     Drivers are f_i = xi_i + B_i; the barrier map is run at its finest
     lattice (eps = dt).  The horizon is run in blocks of steps: each block
     draws the next steps of every particle's stream, and only the barrier,
-    the kept paths and the final positions outlive it.  Memory is about 1 KB
-    of generator state per particle, one block and the kept paths.
+    the kept paths and the final positions outlive it.  A helper thread
+    draws block k+1 while this thread runs the recursion over block k; the
+    values do not depend on that timing.  Memory is about 1 KB of generator
+    state per particle, three block buffers and the kept paths.
 
     Parameters
     ----------
@@ -502,27 +512,48 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
     recursion = BarrierRecursion(n, nsteps, dt, config.v0, config.K)
     block = min(nsteps, max(_BLOCK_MIN_STEPS, _BLOCK_VALUES // n))
     streams = list(particle_streams(seed, 0, n))
-    draws = np.empty((n, block + 1))  # B_i on the block's steps, one row per particle
-    ft = np.empty((block + 1, n))  # f on the block's steps, one row per step
-    mt = np.empty((block + 1, n))  # the regulators, likewise
+    # Two draw buffers, one row per particle, and f on the block's steps, one
+    # row per step.  One allocation, so that it is mapped and given back whole.
+    buf = np.empty((3, n * (block + 1)))
+    draws = buf[:2].reshape(2, n, block + 1)
+    ft = buf[2].reshape(block + 1, n)
     x_kept = np.empty((keep, nsteps + 1))
     m_kept = np.empty((keep, nsteps + 1))
-    b_start = 0.0
-    for k0 in range(0, nsteps, block):
+    b_start = np.zeros(n)  # B_i at the block's first step
+
+    def draw(k0):  # the normals of the block from step k0, into alternate buffers
         b = min(block, nsteps - k0)
-        w = _brownian_chunk(seed, 0, n, b, dt, start=(streams, b_start), out=draws[:, : b + 1])
-        f = np.add(w.T, xi, out=ft[: b + 1])
-        m = mt[: b + 1]
-        recursion.run(f, m)
-        x_kept[:, k0 : k0 + b + 1] = (f[:, :keep] + m[:, :keep]).T
-        m_kept[:, k0 : k0 + b + 1] = m[:, :keep].T
-        b_start = w[:, b]  # read into column 0 before the next block's draws overwrite it
+        out = draws[k0 // block % 2, :, : b + 1]
+        return _brownian_chunk(seed, 0, n, b, start=(streams, 0.0), out=out)
+
+    # Imported here, not with the module: runs that never simulate skip its cost.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The helper draws block k+1 while this thread runs block k; each stream
+    # is drawn by one thread at a time, in block order.
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, 0)
+        for k0 in range(0, nsteps, block):
+            w = pending.result()
+            if k0 + block < nsteps:
+                pending = helper.submit(draw, k0 + block)
+            b = w.shape[1] - 1
+            f = ft[: b + 1]
+            f[0] = b_start  # the draws' column 0 is not read: the helper ran ahead
+            np.multiply(w[:, 1:].T, np.sqrt(dt), out=f[1:])
+            np.add.accumulate(f, axis=0, out=f)
+            b_start = f[b].copy()
+            f += xi
+            x_kept[:, k0 : k0 + b + 1] = f[:, :keep].T
+            recursion.run(f, f)  # the regulators overwrite the drivers
+            x_kept[:, k0 : k0 + b + 1] += f[:, :keep].T
+            m_kept[:, k0 : k0 + b + 1] = f[:, :keep].T
     return ParticleSystemTrajectory(
         config=config,
         barrier=recursion.barrier(),
         particles=PathBundle(0.0, dt, x_kept),
         m=PathBundle(0.0, dt, m_kept),
-        final=f[b] + m[b],
+        final=(b_start + xi) + f[b],
     )
 
 
@@ -546,7 +577,7 @@ def _uncoupled_finals(y: np.ndarray, init: InitialDistribution, n: int, seed, dt
     buf = np.empty((min(n, _UNCOUPLED_CHUNK), len(y)))
     for lo in range(0, n, _UNCOUPLED_CHUNK):
         hi = min(n, lo + _UNCOUPLED_CHUNK)
-        f = _brownian_chunk(seed, lo, hi, len(y) - 1, dt, out=buf[: hi - lo])
+        f = _paths(_brownian_chunk(seed, lo, hi, len(y) - 1, out=buf[: hi - lo]), dt)
         f += xi[lo:hi, None]
         final[lo:hi] = f[:, -1]
         np.max(np.subtract(y, f, out=f), axis=1, out=m[lo:hi])
@@ -585,6 +616,9 @@ def uncoupled_positions(
     """Final positions of n independent particles reflected above barrier g.
 
     Zero-impulse dynamics with a prescribed barrier path; memory use is
-    bounded by the chunk size.  g must start at the particles' time origin.
+    bounded by the chunk size.  g must start at the particles' time origin,
+    t0 = 0; InvalidInputError otherwise.
     """
+    if g.t0 != 0:
+        raise InvalidInputError(f"barrier must start at t0 = 0, the particles' origin; got {g.t0}")
     return np.add(*_uncoupled_finals(g.values, init, n, seed, g.dt))  # f_i(T) + m_i(T)

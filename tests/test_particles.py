@@ -131,6 +131,14 @@ def test_chunked_drivers_read_the_sample_file_once(tmp_path, monkeypatch):
         uncoupled_positions(g, init, 20, seed=0)  # names n, not a chunk's end
 
 
+def test_uncoupled_positions_need_a_barrier_from_time_zero():
+    init = InitialDistribution.uniform(0.0, 1.0)
+    values = [0.0, -0.25, -0.5]
+    assert uncoupled_positions(SampledPath(0.0, 0.25, values), init, 4, seed=0).shape == (4,)
+    with pytest.raises(InvalidInputError, match="t0 = 0"):
+        uncoupled_positions(SampledPath(0.5, 0.25, values), init, 4, seed=0)
+
+
 # --- coupled simulation ----------------------------------------------------
 
 def test_config_validation():

@@ -4,7 +4,15 @@
 a time and runs the barrier recursion over each block.  The reference draws
 every driver at once with `sample_brownian`, adds the initial positions and
 runs `solve_gamma`, whose recursion covers the horizon in one block.
+A helper thread draws each next block while the recursion runs the current
+one; neither its timing nor a failure in the recursion changes a value.
 """
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +131,82 @@ def test_recursion_blocks_carry_the_lattice_velocity(n, nsteps, stride, cuts, K,
     assert bits(recursion.y) == bits(ref.barrier.y.values)
     assert bits(recursion.v) == bits(ref.barrier.v.values)
     assert bits(m.T) == bits(ref.m.values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    nsteps=st.integers(1, 30),
+    stride=st.integers(1, 5),
+    cuts=st.lists(st.integers(1, 29), max_size=6),
+    K=st.floats(0.0, 3.0),
+    v0=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32),
+)
+def test_recursion_in_place_equals_a_separate_regulator_buffer(n, nsteps, stride, cuts, K, v0, seed):
+    dt = 1 / 32
+    ft = np.ascontiguousarray(np.abs(sample_brownian(n, nsteps * dt, dt, seed).values).T)
+    apart = BarrierRecursion(n, nsteps, dt, v0, K, stride)
+    in_place = BarrierRecursion(n, nsteps, dt, v0, K, stride)
+    m = np.empty_like(ft)
+    edges = sorted({0, nsteps, *(c for c in cuts if c < nsteps)})
+    for k0, k1 in zip(edges, edges[1:]):
+        apart.run(ft[k0 : k1 + 1], m[k0 : k1 + 1])
+        f = ft[k0 : k1 + 1].copy()
+        in_place.run(f, f)
+        assert bits(f) == bits(m[k0 : k1 + 1])
+    assert bits(in_place.y) == bits(apart.y)
+    assert bits(in_place.v) == bits(apart.v)
+
+
+@pytest.mark.parametrize("steps", [40, 20, 3])  # 1, 2 and 14 blocks
+def test_a_slow_helper_draws_the_same_values(monkeypatch, steps):
+    cfg = SimConfig(n=7, T=40 / 64, dt=1 / 64, K=1.0, v0=0.5,
+                    init=InitialDistribution.half_normal(1.0), seed=5)
+    ref = reference(cfg)
+    draw = particles._brownian_chunk
+    threads = set()
+
+    def slow(*args, **kwargs):
+        time.sleep(0.01)
+        threads.add(threading.current_thread())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(particles, "_brownian_chunk", slow)
+    traj = run_with_block(cfg, steps, keep=3)
+    assert threads and threading.main_thread() not in threads
+    assert bits(traj.barrier.y.values) == bits(ref.barrier.y.values)
+    assert bits(traj.barrier.v.values) == bits(ref.barrier.v.values)
+    assert bits(traj.particles.values) == bits(ref.x.values[:3])
+    assert bits(traj.m.values) == bits(ref.m.values[:3])
+    assert bits(traj.final) == bits(ref.x.values[:, -1])
+
+
+DIGEST_CODE = """
+import hashlib, numpy as np
+from inertbarrier.particles import InitialDistribution, SimConfig, simulate
+traj = simulate(SimConfig(n=9, T=0.5, dt=1 / 64, K=1.0, v0=0.0,
+                          init=InitialDistribution.exponential(2.0), seed=8))
+arrays = (traj.barrier.y.values, traj.barrier.v.values, traj.particles.values, traj.m.values,
+          traj.final)
+digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+"""
+
+
+def test_a_failing_block_joins_the_helper_and_leaves_no_state():
+    before = threading.active_count()
+    # y passes the float64 range at step 1 798, in the middle of 63 blocks
+    bad = SimConfig(n=3, T=4.0, dt=1e-3, K=0.0, v0=1e308,
+                    init=InitialDistribution.delta(0.0), seed=2)
+    with pytest.raises(InvalidInputError, match="barrier values must be finite"):
+        run_with_block(bad, 64, keep=None)
+    assert threading.active_count() == before
+    namespace = {}
+    exec(DIGEST_CODE, namespace)
+    src = os.path.dirname(os.path.dirname(particles.__file__))
+    fresh = subprocess.run([sys.executable, "-c", DIGEST_CODE + "print(digest)"], capture_output=True,
+                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert namespace["digest"] == fresh.stdout.strip()
 
 
 def test_a_partly_kept_trajectory_refuses_what_needs_every_path():
