@@ -530,11 +530,11 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
     from concurrent.futures import ThreadPoolExecutor
 
     # The helper draws block k+1 while this thread runs block k; each stream
-    # is drawn by one thread at a time, in block order.
+    # is drawn by one thread at a time, in block order.  Block 0 is drawn
+    # here, so a one-block run starts no thread.
     with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(draw, 0)
         for k0 in range(0, nsteps, block):
-            w = pending.result()
+            w = pending.result() if k0 else draw(0)
             if k0 + block < nsteps:
                 pending = helper.submit(draw, k0 + block)
             b = w.shape[1] - 1
@@ -553,7 +553,7 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
         barrier=recursion.barrier(),
         particles=PathBundle(0.0, dt, x_kept),
         m=PathBundle(0.0, dt, m_kept),
-        final=(b_start + xi) + f[b],
+        final=(b_start + xi) + f[b],  # f(T) + m(T)
     )
 
 

@@ -159,22 +159,24 @@ def test_recursion_in_place_equals_a_separate_regulator_buffer(n, nsteps, stride
     assert bits(in_place.v) == bits(apart.v)
 
 
-@pytest.mark.parametrize("steps", [40, 20, 3])  # 1, 2 and 14 blocks
-def test_a_slow_helper_draws_the_same_values(monkeypatch, steps):
+@pytest.mark.parametrize("steps, blocks", [(40, 1), (20, 2), (3, 14)])
+def test_a_slow_helper_draws_the_same_values(monkeypatch, steps, blocks):
     cfg = SimConfig(n=7, T=40 / 64, dt=1 / 64, K=1.0, v0=0.5,
                     init=InitialDistribution.half_normal(1.0), seed=5)
     ref = reference(cfg)
     draw = particles._brownian_chunk
-    threads = set()
+    threads = []
 
     def slow(*args, **kwargs):
         time.sleep(0.01)
-        threads.add(threading.current_thread())
+        threads.append(threading.current_thread())
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(particles, "_brownian_chunk", slow)
     traj = run_with_block(cfg, steps, keep=3)
-    assert threads and threading.main_thread() not in threads
+    # block 0 is drawn by the caller, every later block by the helper
+    assert len(threads) == blocks and threads[0] is threading.main_thread()
+    assert threading.main_thread() not in threads[1:]
     assert bits(traj.barrier.y.values) == bits(ref.barrier.y.values)
     assert bits(traj.barrier.v.values) == bits(ref.barrier.v.values)
     assert bits(traj.particles.values) == bits(ref.x.values[:3])
