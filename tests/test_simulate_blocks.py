@@ -204,10 +204,13 @@ def test_a_failing_block_joins_the_helper_and_leaves_no_state():
         run_with_block(bad, 64, keep=None)
     assert threading.active_count() == before
     namespace = {}
-    exec(DIGEST_CODE, namespace)
+    with pytest.MonkeyPatch.context() as mp:  # 7 blocks here, one in the fresh process
+        mp.setattr(particles, "_BLOCK_VALUES", 0)
+        mp.setattr(particles, "_BLOCK_MIN_STEPS", 5)
+        exec(DIGEST_CODE, namespace)
     src = os.path.dirname(os.path.dirname(particles.__file__))
     fresh = subprocess.run([sys.executable, "-c", DIGEST_CODE + "print(digest)"], capture_output=True,
-                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+                           text=True, check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert namespace["digest"] == fresh.stdout.strip()
 
 
