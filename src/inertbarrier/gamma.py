@@ -30,13 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .paths import PathBundle, SampledPath, require_same_grid
+from .paths import PathBundle, SampledPath
 
 __all__ = [
     "BarrierTrajectory",
     "BarrierRecursion",
     "GammaResult",
     "check_barrier_parameters",
+    "overflow_error",
     "solve_gamma",
     "solve_gamma_refined",
     "lipschitz_envelope",
@@ -58,16 +59,6 @@ class BarrierTrajectory:
     impulse_K: float
     v0: float
     n: int
-
-    def __post_init__(self):
-        require_same_grid(self.y, self.v)
-        if self.y.values[0] != 0.0:
-            raise InvalidInputError("barrier must start at y(0) = 0")
-        if self.v.values[0] != self.v0:
-            raise InvalidInputError("v(0) must equal v0")
-        scale = 1.0 + abs(self.v0)
-        if np.any(np.diff(self.v.values) > 1e-12 * scale):
-            raise InvalidInputError("barrier velocity must be nonincreasing")
 
 
 @dataclass(frozen=True)
@@ -130,9 +121,7 @@ class BarrierRecursion:
             block = slice(k0, k0 + b + 1)
             v[block] = v0 - scale * np.add.reduce(m, axis=1)
         if not (np.all(np.isfinite(y[block])) and np.all(np.isfinite(v[block]))):
-            raise InvalidInputError(
-                f"barrier values must be finite: v0 = {v0} or K = {self.K} overflows float64"
-            )
+            raise overflow_error(f"v0 = {v0} or K = {self.K}")
         self.m[:] = m[b]
         self._slope, self.k = slope, k0 + b
 
@@ -148,6 +137,11 @@ def check_barrier_parameters(K: float, v0: float) -> None:
     """Raise InvalidInputError unless the impulse constant K >= 0 and v0 are finite."""
     if not (np.isfinite(K) and K >= 0 and np.isfinite(v0)):
         raise InvalidInputError(f"need finite K >= 0 and finite v0, got K = {K}, v0 = {v0}")
+
+
+def overflow_error(source: str) -> InvalidInputError:
+    """The error for a barrier that leaves the float64 range; `source` names the cause."""
+    return InvalidInputError(f"barrier values must be finite: {source} overflows float64")
 
 
 def _validate_drivers(f: PathBundle | Sequence[SampledPath]) -> PathBundle:

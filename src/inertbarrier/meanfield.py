@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError, NumericalError
-from .gamma import check_barrier_parameters
+from .gamma import check_barrier_parameters, overflow_error
 from .particles import DriverCheckpoints, InitialDistribution
 from .paths import MAX_SAMPLES, SampledPath, uniform_grid
 from .wasserstein import GridDensity
@@ -155,10 +155,11 @@ def _mean_regulator_sweep(
 
     `drivers` resume at step k, y holds the barrier on steps k..k+nsteps and
     reg[j] is path j's running regulator at step k, which stands in for
-    column 0.  The regulators are summed per chunk of `_SWEEP_CHUNK` paths,
-    and each chunk is worked through in blocks of `_SWEEP_BLOCK` paths in
-    `block`: rows 1.. hold the block's paths and row 0 the chunk's sum so
-    far, so one reduction per block adds the paths in row order.
+    column 0; it is >= 0, so the running maximum needs no clamp at 0.  The
+    regulators are summed per chunk of `_SWEEP_CHUNK` paths, and each chunk
+    is worked through in blocks of `_SWEEP_BLOCK` paths in `block`: rows 1..
+    hold the block's paths and row 0 the chunk's sum so far, so one
+    reduction per block adds the paths in row order.
 
     `cache` (c, nsteps+1) holds f = xi + B of paths 0..c-1 on these steps.
     Paths c.. are drawn every time; with advance=True their checkpoints move
@@ -177,7 +178,6 @@ def _mean_regulator_sweep(
             np.subtract(y[None, :], cache[b0:split], out=f[: split - b0])
             drawn = drivers.window(split, b1, nsteps, f[split - b0 :], advance)
             np.subtract(y[None, :], drawn, out=drawn)
-            np.maximum(f, 0.0, out=f)
             f[:, 0] = reg[b0:b1]
             np.maximum.accumulate(f, axis=1, out=f)
             if advance:
@@ -289,9 +289,7 @@ def solve_limit_mc(
                 residual = float(np.max(np.abs(y_new[k0 : k1 + 1] - y[k0 : k1 + 1])))
             iterations += 1
             if not (np.all(np.isfinite(y_new[k0 : k1 + 1])) and math.isfinite(residual)):
-                raise InvalidInputError(
-                    f"barrier values must be finite: v0 = {v0} or K = {K} overflows float64"
-                )
+                raise overflow_error(f"v0 = {v0} or K = {K}")
             if residual > prev_resid:
                 y = 0.5 * (y + y_new)  # damp oscillating updates
             else:
@@ -497,9 +495,7 @@ class _FrameStepper:
                 c = frame.velocity(k)
                 coefficients = _operator_coefficients(c, self.dx)
                 if not all(map(math.isfinite, (c, *coefficients))):
-                    raise InvalidInputError(
-                        f"barrier values must be finite: {frame.source} overflows float64"
-                    )
+                    raise overflow_error(frame.source)
                 u = self.monitor(_cn_step(u, coefficients, h, self.bands, self.rhs[k % 2]))
                 frame.observe(k + 1, u)
                 if (k + 1) % self.stride == 0:

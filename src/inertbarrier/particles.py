@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError
-from .gamma import BarrierRecursion, BarrierTrajectory, check_barrier_parameters
+from .gamma import BarrierRecursion, BarrierTrajectory, check_barrier_parameters, overflow_error
 from .paths import PathBundle, SampledPath, uniform_grid
 from .wasserstein import EmpiricalMeasure
 
@@ -344,32 +344,32 @@ class ParticleSystemTrajectory:
             )
 
 
-def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, start=None, out=None):
+def _brownian_chunk(seed, lo: int, hi: int, nsteps: int, streams=None, out=None):
     """Standard normals of particles lo..hi-1 for nsteps steps: shape (hi-lo, nsteps+1).
 
-    Column 0 holds B(k) and columns 1.. the raw normals of steps k+1..k+nsteps.
-    Each path starts at B(0) = 0 on a fresh stream, unless `start` =
-    (streams, b) continues it: hi-lo generators that have drawn the first k
-    normals, and the values B(k).  The draws are written into `out` when it
-    is given.  Each row takes one draw call; `_paths` turns rows into paths.
+    Columns 1.. hold the raw normals of steps k+1..k+nsteps; column 0 is left
+    for `_paths`.  The draws come from fresh streams, unless `streams` gives
+    hi-lo generators that have drawn the first k normals.  They are written
+    into `out` when it is given.  Each row takes one draw call.
     """
-    if start is None:
-        start = (particle_streams(seed, lo, hi), 0.0)
+    if streams is None:
+        streams = particle_streams(seed, lo, hi)
     if out is None:
         out = np.empty((hi - lo, nsteps + 1))
-    streams, out[:, 0] = start
     # Streams first, so that a generator of them sees each draw end.
     for g, row in zip(streams, out):
         g.standard_normal(out=row[1:])
     return out
 
 
-def _paths(w: np.ndarray, dt: float) -> np.ndarray:
+def _paths(w: np.ndarray, dt: float, b=0.0) -> np.ndarray:
     """`_brownian_chunk`'s draws w made into paths in place: column j becomes B(k+j).
 
-    The scaling and the cumulative sum run row by row in sequence, so the
-    values match a path drawn on its own.
+    b holds the paths' values B(k) at their first step; the default 0.0
+    starts fresh paths.  The scaling and the cumulative sum run row by row in
+    sequence, so the values match a path drawn on its own.
     """
+    w[:, 0] = b
     w[:, 1:] *= np.sqrt(dt)
     return np.add.accumulate(w, axis=1, out=w)
 
@@ -408,10 +408,13 @@ def sample_brownian(n: int, T: float, dt: float, seed) -> PathBundle:
 
 
 def sample_initial(init: InitialDistribution, n: int, seed) -> np.ndarray:
-    """n initial positions, one independent stream per particle."""
+    """n initial positions, one independent stream per particle; each must be finite."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    return _initial_chunk(init, seed, 0, n)
+    xi = _initial_chunk(init, seed, 0, n)
+    if not np.all(np.isfinite(xi)):
+        raise InvalidInputError("initial positions must be finite")
+    return xi
 
 
 _WORD = (1 << 64) - 1
@@ -466,8 +469,8 @@ class DriverCheckpoints:
 
     def window(self, lo: int, hi: int, nsteps: int, out: np.ndarray, advance: bool = False):
         """f of particles lo..hi-1 on steps k..k+nsteps, written into out (hi-lo, nsteps+1)."""
-        start = (self._streams(lo, hi, advance), self.b[lo:hi])
-        f = _paths(_brownian_chunk(self.seed, lo, hi, nsteps, start, out), self.dt)
+        streams = self._streams(lo, hi, advance)
+        f = _paths(_brownian_chunk(self.seed, lo, hi, nsteps, streams, out), self.dt, self.b[lo:hi])
         if advance:
             self.b[lo:hi] = f[:, -1]
         f += self.xi[lo:hi, None]
@@ -507,8 +510,6 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
         raise InvalidInputError(f"keep must be an integer >= 0, got {keep!r}")
     keep = min(keep, n)
     xi = sample_initial(config.init, n, seed)
-    if not np.all(np.isfinite(xi)):
-        raise InvalidInputError("initial positions must be finite")
     recursion = BarrierRecursion(n, nsteps, dt, config.v0, config.K)
     block = min(nsteps, max(_BLOCK_MIN_STEPS, _BLOCK_VALUES // n))
     streams = list(particle_streams(seed, 0, n))
@@ -524,7 +525,7 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
     def draw(k0):  # the normals of the block from step k0, into alternate buffers
         b = min(block, nsteps - k0)
         out = draws[k0 // block % 2, :, : b + 1]
-        return _brownian_chunk(seed, 0, n, b, start=(streams, 0.0), out=out)
+        return _brownian_chunk(seed, 0, n, b, streams, out)
 
     # Imported here, not with the module: runs that never simulate skip its cost.
     from concurrent.futures import ThreadPoolExecutor
@@ -539,7 +540,7 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
                 pending = helper.submit(draw, k0 + block)
             b = w.shape[1] - 1
             f = ft[: b + 1]
-            f[0] = b_start  # the draws' column 0 is not read: the helper ran ahead
+            f[0] = b_start
             np.multiply(w[:, 1:].T, np.sqrt(dt), out=f[1:])
             np.add.accumulate(f, axis=0, out=f)
             b_start = f[b].copy()
@@ -596,11 +597,16 @@ def mean_regulator_uncoupled(
 
     This is the zero-impulse (K = 0) system evaluated without storing all
     trajectories, so n can be large.  Matches simulate() up to float
-    accumulation order in the barrier line.
+    accumulation order in the barrier line.  Raises InvalidInputError unless
+    v0 is finite and the line stays in the float64 range.
     """
+    check_barrier_parameters(0.0, v0)
     if init is None:
         init = InitialDistribution.delta(0.0)
-    _, m = _uncoupled_finals(v0 * (dt * np.arange(uniform_grid(T, dt) + 1)), init, n, seed, dt)
+    nsteps = uniform_grid(T, dt)
+    if not math.isfinite(v0 * (dt * nsteps)):  # the line's largest value in magnitude
+        raise overflow_error(f"v0 = {v0}")
+    _, m = _uncoupled_finals(v0 * (dt * np.arange(nsteps + 1)), init, n, seed, dt)
     total = 0.0
     for lo in range(0, n, _UNCOUPLED_CHUNK):
         total += float(np.add.reduce(m[lo : lo + _UNCOUPLED_CHUNK]))

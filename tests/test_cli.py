@@ -9,7 +9,14 @@ import pytest
 
 from inertbarrier import cli
 from inertbarrier.cli import _SUBCOMMANDS, run
-from inertbarrier.harness import RateRow, chaos_test, gamma_rate_study, hydro_convergence
+from inertbarrier.gamma import BarrierRecursion
+from inertbarrier.harness import (
+    RateRow,
+    chaos_test,
+    gamma_rate_study,
+    hydro_convergence,
+    invariant_sweep,
+)
 from inertbarrier.meanfield import density_fixed_barrier, solve_limit_mc, solve_limit_pde
 from inertbarrier.particles import SimConfig
 
@@ -186,6 +193,18 @@ def test_limit_pde_overflowing_barrier_exits_one_with_one_line(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows float64" in err and "Traceback" not in err
+
+
+def test_limit_mc_non_finite_initial_positions_exit_one_without_outputs(tmp_path, capsys):
+    # exponential(5e-324) has mean 1/rate = inf: every drawn position is inf
+    keys = {**MC_KEYS, "init.kind": "exponential", "init.params": "5e-324"}
+    cfg = write_config(tmp_path / "x.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be one more line on stderr
+        assert run(["limit-mc", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: initial positions must be finite\n"
+    assert not (out / "barrier_mc.csv").exists()
 
 
 def test_limit_pde_failed_report_exits_one_without_outputs(tmp_path, capsys):
@@ -488,6 +507,23 @@ def test_selftest_violations_exit_three(capsys, monkeypatch):
     monkeypatch.setattr("inertbarrier.cli.invariant_sweep", lambda num_configs, seed: found)
     assert run(["selftest", "--quiet"]) == 3
     assert capsys.readouterr().err.splitlines() == found + ["selftest: 2 violation(s)"]
+
+
+def test_selftest_reports_a_velocity_that_rises(capsys, monkeypatch):
+    run_block = BarrierRecursion.run
+
+    def rising(self, ft, m):  # the recursion, with v raised at its last step
+        run_block(self, ft, m)
+        if self.k == len(self.v) - 1:
+            self.v[-1] = self.v[-2] + 1.0
+
+    monkeypatch.setattr(BarrierRecursion, "run", rising)
+    found = invariant_sweep(1, seed=0)
+    assert any(line.endswith(": barrier velocity increased") for line in found)
+    assert run(["selftest", "--quiet"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.endswith(": barrier velocity increased") for line in err) == 50
+    assert err[-1] == f"selftest: {len(err) - 1} violation(s)"
 
 
 def test_selftest_passes(capsys):

@@ -1,5 +1,6 @@
 """Sampling layer and the coupled n-particle simulation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,14 @@ def test_mean_regulator_statistic_small_scale():
     # sqrt(2T/pi) identity; dt stings O(sqrt(dt)), band allows for it
     got = mean_regulator_uncoupled(n=2000, T=1.0, dt=1e-3, seed=13)
     assert got == pytest.approx(math.sqrt(2 / math.pi), abs=0.05)
+
+
+@pytest.mark.parametrize("v0, T", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0)])
+def test_mean_regulator_rejects_a_line_outside_float64(v0, T):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="v0"):
+            mean_regulator_uncoupled(n=4, T=T, dt=0.25, seed=0, v0=v0)
 
 
 def test_mean_regulator_matches_direct_simulation(monkeypatch):

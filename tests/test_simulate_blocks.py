@@ -22,15 +22,18 @@ from inertbarrier import particles
 from inertbarrier.errors import InvalidInputError
 from inertbarrier.gamma import BarrierRecursion, solve_gamma, velocity_envelope
 from inertbarrier.harness import _check_trajectory
+from inertbarrier.meanfield import solve_limit_mc
 from inertbarrier.particles import (
     InitialDistribution,
     SimConfig,
+    mean_regulator_uncoupled,
     sample_brownian,
     sample_initial,
     simulate,
     snapshot,
+    uncoupled_positions,
 )
-from inertbarrier.paths import PathBundle
+from inertbarrier.paths import PathBundle, SampledPath
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +240,11 @@ def test_non_finite_initial_positions_are_rejected():
                     init=InitialDistribution.exponential(5e-324), seed=1)
     with pytest.raises(InvalidInputError, match="initial positions must be finite"):
         simulate(cfg, keep=0)
+    # every other consumer of the initial law draws it through the same check
+    law = cfg.init
+    line = SampledPath(0.0, 1 / 64, np.zeros(17))
+    for draw in (lambda: solve_limit_mc(law, 0.0, 1.0, 0.25, 1 / 64, 3, 1),
+                 lambda: mean_regulator_uncoupled(3, 0.25, 1 / 64, 1, init=law),
+                 lambda: uncoupled_positions(line, law, 3, 1)):
+        with pytest.raises(InvalidInputError, match="initial positions must be finite"):
+            draw()
