@@ -1,7 +1,8 @@
 """Golden outputs: sha256 digests of every CSV the CLI writes, at small configs.
 
 Each case runs one subcommand with a fixed config and seed and compares the
-digest of every CSV it writes with the pinned value.  The per-particle random
+digest of every CSV it writes, and its whole stdout with the --out directory
+written as `<out>`, with the pinned values.  The per-particle random
 streams are pinned too, by their first draws on both spawn branches.  A
 refactor or speedup must leave all of them unchanged; a change that moves
 outputs on purpose updates the digests here and says why.
@@ -189,56 +190,127 @@ CASES = {
     "simulate": ("simulate", SIMULATE, 5, {
         "snapshot.csv": "ba44f9d3d8417dc6206333417f4634778c52648cb6430a86a9f8a8c27c894aca",
         "trajectory.csv": "3374e42b3996249d2636dd24a290a4cd31689bf3a44b7f1824ecac0f1a89e1a2",
+        "stdout": (
+            "n=40 T=0.25 Y(T)=0.0437736 V(T)=0.144253\n"
+            "wrote <out>/trajectory.csv, <out>/snapshot.csv\n"
+        ),
     }),
     "simulate-blocks": ("simulate", SIMULATE_BLOCKS, 13, {
         "snapshot.csv": "63020d7069c232691b55f1248578cbf2108b0bfe74b0a8d74c9211dc1f651388",
         "trajectory.csv": "759c1c45ba1b1da0d48284f589072a436d5e89ea0bd2b1bbbf3a5f289095ab0c",
+        "stdout": (
+            "n=4096 T=3.09765625 Y(T)=-0.713406 V(T)=-0.639761\n"
+            "wrote <out>/trajectory.csv, <out>/snapshot.csv\n"
+        ),
     }),
     "limit-mc": ("limit-mc", LIMIT_MC, 3, {
         "barrier_mc.csv": "973058541d329721e5da90e1dbf084ccddbee889790f0b70b2a07039989406c5",
+        "stdout": (
+            "converged in 2 sweeps, residual 4.881e-04\n"
+            "wrote <out>/barrier_mc.csv\n"
+        ),
     }),
     "limit-mc-windows": ("limit-mc", LIMIT_MC_WINDOWS, 3, {
         "barrier_mc.csv": "2dba4b5567db00edb74c4cbbfa23eef6dee9bd3bdf1e10c1c6aa53efc2823726",
+        "stdout": (
+            "converged in 11 sweeps, residual 4.199e-04\n"
+            "wrote <out>/barrier_mc.csv\n"
+        ),
     }),
     "limit-pde": ("limit-pde", LIMIT_PDE, 0, {
         "barrier_pde.csv": "07b9351da53ea021c72eace3903dc9f922aaacfb3b421267294b4ee0f6b9ce3e",
         "density.csv": "5cc20b5a6870abe21fc821b836a79dfa9ceb1a4e16733e3c2e27661ffea28456",
+        "stdout": (
+            "y(T)=-0.45842 mass drift 5.464e-08 free-boundary residual 1.397e-02\n"
+            "wrote <out>/density.csv, <out>/barrier_pde.csv\n"
+        ),
     }),
     "limit-pde-density": ("limit-pde", LIMIT_PDE_DENSITY, 0, {
         "barrier_pde.csv": "e1cc873093f228800aa3abf8ca682f9d780affc8765009e450d45317a28874ed",
         "density.csv": "fa22f706af966aedeae6c5abaeca774b23fc5b7f0ec3ee5bcdb9f7edb2f9703a",
+        "stdout": (
+            "y(T)=0.0748885 mass drift 1.222e-12 free-boundary residual 2.061e-06\n"
+            "wrote <out>/density.csv, <out>/barrier_pde.csv\n"
+        ),
     }),
     "density-delta": ("density", DENSITY_DELTA, 0, {
         "barrier.csv": "9a11dc070eb0dc4b713d11dc5e67136e20039a29622158d0c495f7f77257a5eb",
         "density.csv": "91454d2b5b2e31b843565a8be847b28a1d7e5cdde450650c20b213a55e8b899d",
+        "stdout": (
+            "mass drift 2.059e-09\n"
+            "wrote <out>/density.csv, <out>/barrier.csv\n"
+        ),
     }),
     "density-half-normal": ("density", DENSITY_HALF_NORMAL, 0, {
         "barrier.csv": "4f21515cf3c2652badaf6a5396981ec32c4734cccb1c8f6c86d26a1d89e2c626",
         "density.csv": "fd7177b655f517e676c9300240e42e03fa3d1c3d3fb8deadf711df8d078c7d58",
+        "stdout": (
+            "mass drift 2.198e-14\n"
+            "wrote <out>/density.csv, <out>/barrier.csv\n"
+        ),
     }),
     "limit-pde-upwind-right": ("limit-pde", LIMIT_PDE_UPWIND_RIGHT, 0, {
         "barrier_pde.csv": "0b97358d51380558f10ac8b4da35784174fbbe77e289c29a7c6000064951e0b5",
         "density.csv": "d66dc643a3368d35c0df5e814471f1c1a02becfe29c06b1b957e8456c0e270a9",
+        "stdout": (
+            "y(T)=7.43439 mass drift 1.943e-14 free-boundary residual 4.911e-05\n"
+            "wrote <out>/density.csv, <out>/barrier_pde.csv\n"
+        ),
     }),
     "limit-pde-upwind-left": ("limit-pde", LIMIT_PDE_UPWIND_LEFT, 0, {
         "barrier_pde.csv": "92f3fd3238319d2d0e78d37b31518bc5e23b2e53a089dc6f4ec3bd6a2c49ecc7",
         "density.csv": "eaa78cf9e48c07fb9e59eb52efadf4c8d7a34db33ce48546c398c680def91387",
+        "stdout": (
+            "y(T)=-7.5 mass drift 2.122e-05 free-boundary residual 3.212e-12\n"
+            "wrote <out>/density.csv, <out>/barrier_pde.csv\n"
+        ),
     }),
     "density-upwind": ("density", DENSITY_UPWIND, 0, {
         "barrier.csv": "4e708813f8fb32172c65f3d613bc26af4a5ae774ee5781179ae370f062e3868b",
         "density.csv": "643b5152ff28aedca044cff940b8e2dfc02e46a0dfce0c52defcb96470499e23",
+        "stdout": (
+            "mass drift 1.799e-14\n"
+            "wrote <out>/density.csv, <out>/barrier.csv\n"
+        ),
     }),
     "hydro": ("hydro", HYDRO, 2, {
         "hydro.csv": "789ca4921ab0eeef9a1160fc0fa4c045fa06f5a32a1428cbedfb70e516a175ed",
+        "stdout": (
+            "n=100: W1 0.0720 (sd 0.0339), supY gap 0.0014 (sd 0.0002)\n"
+            "n=400: W1 0.0346 (sd 0.0065), supY gap 0.0017 (sd 0.0003)\n"
+            "wrote <out>/hydro.csv\n"
+        ),
     }),
     "hydro-blocks": ("hydro", HYDRO_BLOCKS, 14, {
         "hydro.csv": "c65c3c76adca992b53b81eff66edde4b9768289f366e5decb63cad7219b992b2",
+        "stdout": (
+            "n=64: W1 0.1613 (sd 0.0219), supY gap 0.1303 (sd 0.0769)\n"
+            "n=4096: W1 0.0454 (sd 0.0048), supY gap 0.0223 (sd 0.0225)\n"
+            "wrote <out>/hydro.csv\n"
+        ),
     }),
     "chaos": ("chaos", CHAOS, 4, {
         "chaos.csv": "23762c6cfd3f6c683275bded3772080a0e8a42f7243e7f1a31efd8d7402fe776",
+        "stdout": (
+            "n=4: corr +0.9077 (ci 0.8765)\n"
+            "n=8: corr +0.9075 (ci 0.8765)\n"
+            "wrote <out>/chaos.csv\n"
+        ),
     }),
     "gamma-rate": ("gamma-rate", GAMMA_RATE, 6, {
         "gamma_rate.csv": "db980541d2a38a0d692a8ba2a89b4cfffd4e41e554515cd7e8286fce4ed4ae10",
+        "stdout": (
+            "level 4: gap 6.272e-03 bound 5.851e-01\n"
+            "level 5: gap 4.146e-03 bound 2.926e-01\n"
+            "level 6: gap 1.867e-03 bound 1.463e-01\n"
+            "level 7: gap 9.463e-04 bound 7.314e-02\n"
+            "level 8: gap 4.492e-04 bound 3.657e-02\n"
+            "level 9: gap 1.851e-04 bound 1.829e-02\n"
+            "level 10: gap 9.910e-05 bound 9.143e-03\n"
+            "level 11: gap 5.407e-05 bound 4.571e-03\n"
+            "level 12: gap 2.376e-05 bound 2.286e-03\n"
+            "wrote <out>/gamma_rate.csv\n"
+        ),
     }),
 }
 
@@ -272,22 +344,23 @@ STREAM_DRAWS = {
 }
 
 
-def _digests(tmp_path, command, config, seed):
+def _outputs(tmp_path, capsys, command, config, seed):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "out"
-    argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out), "--quiet"]
+    argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]
     assert run(argv) == 0
-    return {
+    outputs = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
     }
+    outputs["stdout"] = capsys.readouterr().out.replace(str(out), "<out>")
+    return outputs
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_csv_digests(tmp_path, case, capsys):
     command, config, seed, expected = CASES[case]
-    assert _digests(tmp_path, command, config, seed) == expected
-    capsys.readouterr()
+    assert _outputs(tmp_path, capsys, command, config, seed) == expected
 
 
 @pytest.mark.parametrize("key", sorted(STREAM_DRAWS))
