@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=_seed, default=0, help="integer seed >= 0 (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--quiet", action="store_true", help="suppress the summary lines on stdout")
     return parser
 
 
@@ -91,43 +91,43 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _outpath(args, name: str) -> str:
+def _write(args, outputs: dict, *lines: str) -> None:
+    """Write each `name: (writer, *data)` of outputs into --out, then say lines and `wrote ...`."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    paths = []
+    for name, (writer, *data) in outputs.items():
+        paths.append(os.path.join(args.out, name))
+        writer(paths[-1], *data)
+    for line in (*lines, f"wrote {', '.join(paths)}"):
+        _say(args, line)
 
 
 def _cmd_simulate(args, cfg) -> int:
     sc = SimConfig(seed=args.seed, **cfg)
     traj = simulate(sc, keep=MAX_EXPORT_PARTICLES)
-    traj_path = _outpath(args, "trajectory.csv")
-    snap_path = _outpath(args, "snapshot.csv")
-    write_trajectory(traj_path, traj)
-    write_snapshot(snap_path, sc.T, snapshot(traj, sc.T))
-    _say(args, f"n={sc.n} T={sc.T} Y(T)={traj.barrier.y.values[-1]:.6g} "
-               f"V(T)={traj.barrier.v.values[-1]:.6g}")
-    _say(args, f"wrote {traj_path}, {snap_path}")
+    _write(args, {
+        "trajectory.csv": (write_trajectory, traj),
+        "snapshot.csv": (write_snapshot, sc.T, snapshot(traj, sc.T)),
+    }, f"n={sc.n} T={sc.T} Y(T)={traj.barrier.y.values[-1]:.6g} "
+       f"V(T)={traj.barrier.v.values[-1]:.6g}")
     return 0
 
 
 def _cmd_limit_mc(args, cfg) -> int:
     lim = solve_limit_mc(seed=args.seed, **cfg)
-    path = _outpath(args, "barrier_mc.csv")
-    write_limit_barrier(path, lim)
-    _say(args, f"converged in {lim.iterations} sweeps, residual {lim.residual:.3e}")
-    _say(args, f"wrote {path}")
+    _write(args, {"barrier_mc.csv": (write_limit_barrier, lim)},
+           f"converged in {lim.iterations} sweeps, residual {lim.residual:.3e}")
     return 0
 
 
 def _cmd_limit_pde(args, cfg) -> int:
     field = solve_limit_pde(**cfg)
     report = consistency_check(field)
-    dens_path = _outpath(args, "density.csv")
-    barr_path = _outpath(args, "barrier_pde.csv")
-    write_density_field(dens_path, field)
-    write_field_barrier(barr_path, field)
-    _say(args, f"y(T)={field.y.values[-1]:.6g} mass drift {field.mass_drift:.3e} "
-               f"free-boundary residual {report.max_residual:.3e}")
-    _say(args, f"wrote {dens_path}, {barr_path}")
+    _write(args, {
+        "density.csv": (write_density_field, field),
+        "barrier_pde.csv": (write_field_barrier, field),
+    }, f"y(T)={field.y.values[-1]:.6g} mass drift {field.mass_drift:.3e} "
+       f"free-boundary residual {report.max_residual:.3e}")
     return 0
 
 
@@ -135,44 +135,34 @@ def _cmd_density(args, cfg) -> int:
     v0, dt = cfg.pop("v0"), cfg["dt_pde"]
     g = SampledPath(0.0, dt, v0 * dt * np.arange(uniform_grid(cfg["T"], dt) + 1))
     field = density_fixed_barrier(g, **cfg)
-    dens_path = _outpath(args, "density.csv")
-    barr_path = _outpath(args, "barrier.csv")
-    write_density_field(dens_path, field)
-    write_field_barrier(barr_path, field)
-    _say(args, f"mass drift {field.mass_drift:.3e}")
-    _say(args, f"wrote {dens_path}, {barr_path}")
+    _write(args, {
+        "density.csv": (write_density_field, field),
+        "barrier.csv": (write_field_barrier, field),
+    }, f"mass drift {field.mass_drift:.3e}")
     return 0
 
 
 def _cmd_hydro(args, cfg) -> int:
     rows = hydro_convergence(**_study_args(args, cfg))
-    path = _outpath(args, "hydro.csv")
-    write_table(path, rows)
-    for r in rows:
-        _say(args, f"n={r.n}: W1 {r.mean_w1:.4f} (sd {r.sd_w1:.4f}), "
-                   f"supY gap {r.mean_sup_gap:.4f} (sd {r.sd_sup_gap:.4f})")
-    _say(args, f"wrote {path}")
+    _write(args, {"hydro.csv": (write_table, rows)}, *(
+        f"n={r.n}: W1 {r.mean_w1:.4f} (sd {r.sd_w1:.4f}), "
+        f"supY gap {r.mean_sup_gap:.4f} (sd {r.sd_sup_gap:.4f})" for r in rows
+    ))
     return 0
 
 
 def _cmd_chaos(args, cfg) -> int:
     rows = chaos_test(**_study_args(args, cfg))
-    path = _outpath(args, "chaos.csv")
-    write_table(path, rows)
-    for r in rows:
-        _say(args, f"n={r.n}: corr {r.corr:+.4f} (ci {r.ci_halfwidth:.4f})")
-    _say(args, f"wrote {path}")
+    _write(args, {"chaos.csv": (write_table, rows)},
+           *(f"n={r.n}: corr {r.corr:+.4f} (ci {r.ci_halfwidth:.4f})" for r in rows))
     return 0
 
 
 def _cmd_gamma_rate(args, cfg) -> int:
     rows = gamma_rate_study(seed=args.seed, **cfg)
-    path = _outpath(args, "gamma_rate.csv")
-    write_table(path, rows)
+    _write(args, {"gamma_rate.csv": (write_table, rows)},
+           *(f"level {r.level}: gap {r.gap:.3e} bound {r.bound:.3e}" for r in rows))
     bad = [r.level for r in rows if r.gap > r.bound]
-    for r in rows:
-        _say(args, f"level {r.level}: gap {r.gap:.3e} bound {r.bound:.3e}")
-    _say(args, f"wrote {path}")
     if bad:
         print(f"refinement gap exceeds bound at levels {bad}", file=sys.stderr)
         return 2

@@ -84,10 +84,10 @@ class BarrierRecursion:
 
     n drivers on `nsteps` steps of dt; the velocity is refreshed from the
     regulators every `stride` steps.  Each `run` takes the drivers of the next
-    block of steps and fills in y, v and that block's regulators, which start
-    at zero (every driver starts at or above y(0) = 0) and carry over from
-    block to block.  Blocks of any lengths give the values one block over the
-    whole horizon gives, bit for bit.
+    block of steps, fills in y and v, and overwrites the drivers with that
+    block's regulators, which start at zero (every driver starts at or above
+    y(0) = 0) and carry over from block to block.  Blocks of any lengths give
+    the values one block over the whole horizon gives, bit for bit.
     """
 
     def __init__(self, n: int, nsteps: int, dt: float, v0: float, K: float, stride: int = 1):
@@ -99,30 +99,31 @@ class BarrierRecursion:
         self.m = np.zeros(n)  # the regulators at step k
         self._slope = v0
 
-    def run(self, ft: np.ndarray, m: np.ndarray) -> None:
-        """Advance over steps k..k+b, given the drivers ft (b+1, n) on them.
+    def run(self, f: np.ndarray) -> None:
+        """Advance over steps k..k+b, given the drivers f (b+1, n) on them.
 
-        Row j of ft and of m is step k+j, one value per driver.  Every row of
-        m is written, row 0 with the regulators carried to step k.  m may be
-        ft itself: row j+1 of the drivers is read before it is overwritten.
+        Row j of f is step k+j, one value per driver.  Each row is overwritten
+        with the regulators at its step, row 0 with those carried to step k;
+        row j+1 of the drivers is read before it is overwritten.
         Raises InvalidInputError when the barrier leaves the float64 range.
         """
         y, v, dt, v0, k0 = self.y, self.v, self.dt, self.v0, self.k
-        b = ft.shape[0] - 1
+        b = f.shape[0] - 1
         scale = self.K / self.n
         slope = self._slope
-        m[0] = self.m
+        f[0] = self.m
         with np.errstate(over="ignore", invalid="ignore"):
             for j, k in enumerate(range(k0, k0 + b)):
+                v[k] = vk = v0 - scale * float(np.add.reduce(f[j]))
                 if k % self.stride == 0:
-                    slope = v0 - scale * float(np.add.reduce(m[j]))
+                    slope = vk
                 y[k + 1] = y[k] + slope * dt
-                np.maximum(m[j], y[k + 1] - ft[j + 1], out=m[j + 1])
-            block = slice(k0, k0 + b + 1)
-            v[block] = v0 - scale * np.add.reduce(m, axis=1)
+                np.maximum(f[j], y[k + 1] - f[j + 1], out=f[j + 1])
+            v[k0 + b] = v0 - scale * float(np.add.reduce(f[b]))
+        block = slice(k0, k0 + b + 1)
         if not (np.all(np.isfinite(y[block])) and np.all(np.isfinite(v[block]))):
             raise overflow_error(f"v0 = {v0} or K = {self.K}")
-        self.m[:] = m[b]
+        self.m[:] = f[b]
         self._slope, self.k = slope, k0 + b
 
     def barrier(self, t0: float = 0.0) -> BarrierTrajectory:
@@ -189,15 +190,13 @@ def solve_gamma(
     eps = stride * dt
 
     # Time-major layout keeps the per-step row operations contiguous.  The
-    # copy is ours: it becomes the reflected paths in place below.
-    ft = np.array(drivers.values.T, order="C")  # (N+1, n)
-    m = np.empty_like(ft)
+    # copy is ours: the recursion overwrites it with the regulators.
+    m = np.array(drivers.values.T, order="C")  # (N+1, n)
     recursion = BarrierRecursion(n, nsteps, dt, v0, K, stride)
-    recursion.run(ft, m)
-    x = np.add(ft, m, out=ft)
+    recursion.run(m)
     return GammaResult(
-        barrier=recursion.barrier(t0), m=PathBundle(t0, dt, m.T), x=PathBundle(t0, dt, x.T),
-        eps_used=eps,
+        barrier=recursion.barrier(t0), m=PathBundle(t0, dt, m.T),
+        x=PathBundle(t0, dt, drivers.values + m.T), eps_used=eps,
     )
 
 
@@ -246,8 +245,10 @@ def lipschitz_envelope(eta: float, n: int, K: float, T: float) -> tuple[float, f
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    if K < 0 or eta < 0 or T <= 0:
-        raise InvalidInputError("need K >= 0, eta >= 0, T > 0")
+    if not (0 <= K < math.inf and 0 <= eta < math.inf and 0 < T < math.inf):
+        raise InvalidInputError(
+            f"need finite K >= 0, eta >= 0, T > 0, got K = {K}, eta = {eta}, T = {T}"
+        )
     base = K * eta / n * math.exp(K * T)
     return base, base * T
 
@@ -264,6 +265,12 @@ def refinement_bound(norm_f_sum: float, n: int, K: float, T: float, eps: float) 
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
+    if not (0 <= K < math.inf and 0 <= norm_f_sum < math.inf and 0 < T < math.inf
+            and 0 < eps < math.inf):
+        raise InvalidInputError(
+            f"need finite K >= 0, norm_f_sum >= 0, T > 0, eps > 0, got K = {K}, "
+            f"norm_f_sum = {norm_f_sum}, T = {T}, eps = {eps}"
+        )
     try:
         growth = math.exp(K * T)
     except OverflowError:  # K*T beyond log(float max), about 709.78

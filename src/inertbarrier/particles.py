@@ -59,14 +59,16 @@ _INIT_KINDS = {
     "sample_file": (0, None, "a path"),
 }
 
-# `simulate` runs the horizon in time blocks of about this many driver values
-# (32 MB in each of its three block buffers: two drawn, one time-major), ...
+# The uncoupled evaluators draw as many whole paths at a time as fit in this
+# many values (at least one path).  `simulate` runs the horizon in time blocks
+# of about this many driver values (32 MB in each of its three block buffers:
+# two drawn, one time-major), ...
 _BLOCK_VALUES = 1 << 22
 # ... but never of fewer steps than this: each particle's draw call costs
 # about 1.2 us, which short blocks would repeat too often.
 _BLOCK_MIN_STEPS = 64
-# The uncoupled evaluators draw this many particles at a time.  The value fixes
-# the order in which `mean_regulator_uncoupled` sums the regulators.
+# `mean_regulator_uncoupled` sums the regulators this many particles at a time.
+# The value fixes the order of that sum; the draws do not depend on it.
 _UNCOUPLED_CHUNK = 2048
 
 
@@ -546,7 +548,7 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
             b_start = f[b].copy()
             f += xi
             x_kept[:, k0 : k0 + b + 1] = f[:, :keep].T
-            recursion.run(f, f)  # the regulators overwrite the drivers
+            recursion.run(f)  # the regulators overwrite the drivers
             x_kept[:, k0 : k0 + b + 1] += f[:, :keep].T
             m_kept[:, k0 : k0 + b + 1] = f[:, :keep].T
     return ParticleSystemTrajectory(
@@ -570,14 +572,16 @@ def snapshot(traj: ParticleSystemTrajectory, t: float) -> EmpiricalMeasure:
 def _uncoupled_finals(y: np.ndarray, init: InitialDistribution, n: int, seed, dt: float):
     """f_i(T) and m_i(T) = max(0, max_k (y_k - f_i(t_k))) of n particles above barrier y.
 
-    The drivers f_i = xi_i + B_i are drawn `_UNCOUPLED_CHUNK` particles at a
-    time into one buffer that every chunk reuses.
+    The drivers f_i = xi_i + B_i are drawn a chunk of particles at a time, at
+    most `_BLOCK_VALUES` values or one path, into one buffer that every chunk
+    reuses.
     """
     xi = sample_initial(init, n, seed)
     final, m = np.empty(n), np.empty(n)
-    buf = np.empty((min(n, _UNCOUPLED_CHUNK), len(y)))
-    for lo in range(0, n, _UNCOUPLED_CHUNK):
-        hi = min(n, lo + _UNCOUPLED_CHUNK)
+    chunk = min(n, max(1, _BLOCK_VALUES // len(y)))
+    buf = np.empty((chunk, len(y)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
         f = _paths(_brownian_chunk(seed, lo, hi, len(y) - 1, out=buf[: hi - lo]), dt)
         f += xi[lo:hi, None]
         final[lo:hi] = f[:, -1]
@@ -598,7 +602,7 @@ def mean_regulator_uncoupled(
     This is the zero-impulse (K = 0) system evaluated without storing all
     trajectories, so n can be large.  Matches simulate() up to float
     accumulation order in the barrier line.  Raises InvalidInputError unless
-    v0 is finite and the line stays in the float64 range.
+    v0 is finite and the line and the regulators' sum stay in the float64 range.
     """
     check_barrier_parameters(0.0, v0)
     if init is None:
@@ -608,8 +612,11 @@ def mean_regulator_uncoupled(
         raise overflow_error(f"v0 = {v0}")
     _, m = _uncoupled_finals(v0 * (dt * np.arange(nsteps + 1)), init, n, seed, dt)
     total = 0.0
-    for lo in range(0, n, _UNCOUPLED_CHUNK):
-        total += float(np.add.reduce(m[lo : lo + _UNCOUPLED_CHUNK]))
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, _UNCOUPLED_CHUNK):
+            total += float(np.add.reduce(m[lo : lo + _UNCOUPLED_CHUNK]))
+    if not math.isfinite(total):
+        raise overflow_error(f"the regulators' sum at v0 = {v0}")
     return total / n
 
 

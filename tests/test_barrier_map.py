@@ -100,12 +100,13 @@ def test_recursion_blocks_into_fresh_buffers_equal_one_block(rng, stride, edges)
     n, nsteps, dt = 5, 40, 1 / 32
     ft = np.abs(np.cumsum(rng.standard_normal((nsteps + 1, n)), axis=0))
     whole = BarrierRecursion(n, nsteps, dt, 0.5, 2.0, stride)
-    m_whole = np.empty_like(ft)
-    whole.run(ft, m_whole)
+    m_whole = ft.copy()
+    whole.run(m_whole)
     blocks = BarrierRecursion(n, nsteps, dt, 0.5, 2.0, stride)
     for k0, k1 in zip(edges, edges[1:]):
-        m = np.full((k1 - k0 + 1, n), np.nan)  # each block fills every row of its own buffer
-        blocks.run(ft[k0 : k1 + 1], m)
+        m = ft[k0 : k1 + 1].copy()  # each block overwrites its own copy of the drivers
+        m[0] = np.nan  # row 0 takes the regulators carried from the last block
+        blocks.run(m)
         assert m.tobytes() == m_whole[k0 : k1 + 1].tobytes()
     assert blocks.y.tobytes() == whole.y.tobytes()
     assert blocks.v.tobytes() == whole.v.tobytes()
@@ -246,6 +247,29 @@ def test_refinement_bound_formula():
     # ((2+K) * norm / n) * eps * e^{KT} = 3 * (2/2) * 0.125 * e
     assert refinement_bound(2.0, 2, 1.0, 1.0, 0.125) == pytest.approx(0.375 * math.e)
     assert refinement_bound(2.0, 2, 1e308, 1.0, 0.125) == math.inf  # no OverflowError
+
+
+@pytest.mark.parametrize("bound, args", [
+    (lipschitz_envelope, (1.0, 0, 1.0, 1.0)),  # (eta, n, K, T)
+    (lipschitz_envelope, (1.0, 2, math.nan, 1.0)),
+    (lipschitz_envelope, (1.0, 2, -1.0, 1.0)),
+    (lipschitz_envelope, (math.nan, 2, 1.0, 1.0)),
+    (lipschitz_envelope, (-1.0, 2, 1.0, 1.0)),
+    (lipschitz_envelope, (1.0, 2, 1.0, math.nan)),
+    (lipschitz_envelope, (1.0, 2, 1.0, 0.0)),
+    (refinement_bound, (2.0, 0, 1.0, 1.0, 0.125)),  # (norm_f_sum, n, K, T, eps)
+    (refinement_bound, (2.0, 2, -1.0, 1.0, 0.125)),
+    (refinement_bound, (2.0, 2, math.nan, 1.0, 0.125)),
+    (refinement_bound, (math.nan, 2, 1.0, 1.0, 0.125)),
+    (refinement_bound, (-2.0, 2, 1.0, 1.0, 0.125)),
+    (refinement_bound, (2.0, 2, 1.0, math.nan, 0.125)),
+    (refinement_bound, (2.0, 2, 1.0, 0.0, 0.125)),
+    (refinement_bound, (2.0, 2, 1.0, 1.0, math.nan)),
+    (refinement_bound, (2.0, 2, 1.0, 1.0, -0.1)),
+])
+def test_bounds_reject_bad_inputs(bound, args):
+    with pytest.raises(InvalidInputError):
+        bound(*args)
 
 
 def test_input_validation(rng):

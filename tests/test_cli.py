@@ -512,8 +512,8 @@ def test_selftest_violations_exit_three(capsys, monkeypatch):
 def test_selftest_reports_a_velocity_that_rises(capsys, monkeypatch):
     run_block = BarrierRecursion.run
 
-    def rising(self, ft, m):  # the recursion, with v raised at its last step
-        run_block(self, ft, m)
+    def rising(self, f):  # the recursion, with v raised at its last step
+        run_block(self, f)
         if self.k == len(self.v) - 1:
             self.v[-1] = self.v[-2] + 1.0
 

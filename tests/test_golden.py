@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from inertbarrier import particles
 from inertbarrier.cli import run
 from inertbarrier.particles import (
     InitialDistribution,
@@ -371,7 +372,7 @@ def test_particle_stream_first_draws(key):
 
 
 def test_streaming_evaluators_across_chunks():
-    # 3000 and 5000 particles span two and three chunks of 2048
+    # 3000 and 5000 particles span two and three chunks of the mean's sum, 2048 each
     m = mean_regulator_uncoupled(3000, 0.25, 1 / 64, seed=8, v0=-0.5,
                                  init=InitialDistribution.exponential(1.0))
     assert m.hex() == "0x1.efd6b8b9563a7p-5"
@@ -380,3 +381,8 @@ def test_streaming_evaluators_across_chunks():
     assert hashlib.sha256(pos.tobytes()).hexdigest() == (
         "55ed843b0a74a6f2c953de78e5668fcccfd17bdae00d3933d4d3fe294caf7684"
     )
+
+
+def test_streaming_evaluators_draw_in_blocks_of_three_particles(monkeypatch):
+    monkeypatch.setattr(particles, "_BLOCK_VALUES", 3 * 17)  # 17 grid values a path
+    test_streaming_evaluators_across_chunks()

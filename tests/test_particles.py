@@ -124,10 +124,10 @@ def test_chunked_drivers_read_the_sample_file_once(tmp_path, monkeypatch):
     file_values = InitialDistribution._file_values
     monkeypatch.setattr(InitialDistribution, "_file_values",
                         lambda self: reads.append(1) or file_values(self))
-    monkeypatch.setattr(particles, "_UNCOUPLED_CHUNK", 4)
+    monkeypatch.setattr(particles, "_BLOCK_VALUES", 8)  # chunks of 4 two-value paths
     assert uncoupled_positions(g, init, 10, seed=0).shape == (10,)
     assert len(reads) == 1  # three chunks, one read
-    monkeypatch.setattr(particles, "_UNCOUPLED_CHUNK", 8)
+    monkeypatch.setattr(particles, "_BLOCK_VALUES", 16)
     with pytest.raises(InvalidInputError, match="has 10 positions, need 20$"):
         uncoupled_positions(g, init, 20, seed=0)  # names n, not a chunk's end
 
@@ -228,7 +228,8 @@ def test_mean_regulator_statistic_small_scale():
     assert got == pytest.approx(math.sqrt(2 / math.pi), abs=0.05)
 
 
-@pytest.mark.parametrize("v0, T", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0)])
+# at (1e308, 1.0) the line and each regulator are finite, but not their sum
+@pytest.mark.parametrize("v0, T", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 2.0), (1e308, 1.0)])
 def test_mean_regulator_rejects_a_line_outside_float64(v0, T):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
