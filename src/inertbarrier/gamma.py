@@ -243,11 +243,10 @@ def lipschitz_envelope(eta: float, n: int, K: float, T: float) -> tuple[float, f
 
     respectively.  Returns (vbound, ibound).
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if not (0 <= K < math.inf and 0 <= eta < math.inf and 0 < T < math.inf):
+    if not (n >= 1 and 0 <= K < math.inf and 0 <= eta < math.inf and 0 < T < math.inf):
         raise InvalidInputError(
-            f"need finite K >= 0, eta >= 0, T > 0, got K = {K}, eta = {eta}, T = {T}"
+            f"need n >= 1, finite K >= 0, eta >= 0, T > 0, got n = {n}, K = {K}, "
+            f"eta = {eta}, T = {T}"
         )
     base = K * eta / n * math.exp(K * T)
     return base, base * T
@@ -263,13 +262,11 @@ def refinement_bound(norm_f_sum: float, n: int, K: float, T: float, eps: float) 
 
     Valid for v0 <= 0.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if not (0 <= K < math.inf and 0 <= norm_f_sum < math.inf and 0 < T < math.inf
+    if not (n >= 1 and 0 <= K < math.inf and 0 <= norm_f_sum < math.inf and 0 < T < math.inf
             and 0 < eps < math.inf):
         raise InvalidInputError(
-            f"need finite K >= 0, norm_f_sum >= 0, T > 0, eps > 0, got K = {K}, "
-            f"norm_f_sum = {norm_f_sum}, T = {T}, eps = {eps}"
+            f"need n >= 1, finite K >= 0, norm_f_sum >= 0, T > 0, eps > 0, got n = {n}, "
+            f"K = {K}, norm_f_sum = {norm_f_sum}, T = {T}, eps = {eps}"
         )
     try:
         growth = math.exp(K * T)

@@ -59,10 +59,9 @@ _INIT_KINDS = {
     "sample_file": (0, None, "a path"),
 }
 
-# The uncoupled evaluators draw as many whole paths at a time as fit in this
-# many values (at least one path).  `simulate` runs the horizon in time blocks
-# of about this many driver values (32 MB in each of its three block buffers:
-# two drawn, one time-major), ...
+# The uncoupled evaluators draw as many whole paths as fit in this many values
+# (at least one) at a time.  `simulate` runs the horizon in time blocks of
+# about this many driver values (32 MB in each of its three block buffers), ...
 _BLOCK_VALUES = 1 << 22
 # ... but never of fewer steps than this: each particle's draw call costs
 # about 1.2 us, which short blocks would repeat too often.
@@ -572,9 +571,8 @@ def snapshot(traj: ParticleSystemTrajectory, t: float) -> EmpiricalMeasure:
 def _uncoupled_finals(y: np.ndarray, init: InitialDistribution, n: int, seed, dt: float):
     """f_i(T) and m_i(T) = max(0, max_k (y_k - f_i(t_k))) of n particles above barrier y.
 
-    The drivers f_i = xi_i + B_i are drawn a chunk of particles at a time, at
-    most `_BLOCK_VALUES` values or one path, into one buffer that every chunk
-    reuses.
+    The drivers f_i = xi_i + B_i are drawn as many paths at a time as fit in
+    `_BLOCK_VALUES` values (at least one), into one buffer that every chunk reuses.
     """
     xi = sample_initial(init, n, seed)
     final, m = np.empty(n), np.empty(n)
