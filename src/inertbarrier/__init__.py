@@ -23,7 +23,6 @@ from .gamma import (
     lipschitz_envelope,
     refinement_bound,
     solve_gamma,
-    solve_gamma_refined,
     velocity_envelope,
 )
 from .harness import (
@@ -58,7 +57,7 @@ from .particles import (
 )
 from .paths import PathBundle, SampledPath, sup_distance, uniform_grid
 from .skorohod import ReflectionResult, reflect_against_barrier, reflect_path
-from .wasserstein import EmpiricalMeasure, GridDensity, wp_empirical, wp_vs_density
+from .wasserstein import EmpiricalMeasure, GridDensity, wp_vs_density
 
 __version__ = "0.1.0"
 
@@ -81,7 +80,6 @@ __all__ = [
     "BarrierTrajectory",
     "GammaResult",
     "solve_gamma",
-    "solve_gamma_refined",
     "lipschitz_envelope",
     "refinement_bound",
     "velocity_envelope",
@@ -97,7 +95,6 @@ __all__ = [
     # measures
     "EmpiricalMeasure",
     "GridDensity",
-    "wp_empirical",
     "wp_vs_density",
     # mean-field solvers
     "LimitBarrier",

@@ -20,7 +20,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .harness import chaos_test, gamma_rate_study, hydro_convergence, invariant_sweep
+from .harness import (
+    SELFTEST_CONFIGS, chaos_test, gamma_rate_study, hydro_convergence, invariant_sweep
+)
 from .io import (
     MAX_EXPORT_PARTICLES,
     parse_config,
@@ -170,13 +172,13 @@ def _cmd_gamma_rate(args, cfg) -> int:
 
 
 def _cmd_selftest(args, cfg) -> int:
-    violations = invariant_sweep(num_configs=50, seed=args.seed)
+    violations = invariant_sweep(seed=args.seed)
     if violations:
         for v in violations:
             print(v, file=sys.stderr)
         print(f"selftest: {len(violations)} violation(s)", file=sys.stderr)
         return 3
-    _say(args, "selftest: 50 configs, all structural invariants hold")
+    _say(args, f"selftest: {SELFTEST_CONFIGS} configs, all structural invariants hold")
     return 0
 
 
@@ -218,7 +220,9 @@ _SUBCOMMANDS = {
         _cmd_gamma_rate, "barrier-map refinement gaps against the guaranteed bound",
         (), ("K", "v0", "n", "T"),
     ),
-    "selftest": _Subcommand(_cmd_selftest, "structural invariants on 50 random configs", None),
+    "selftest": _Subcommand(
+        _cmd_selftest, f"structural invariants on {SELFTEST_CONFIGS} random configs", None
+    ),
 }
 
 

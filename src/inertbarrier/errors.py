@@ -19,7 +19,3 @@ class ConvergenceError(NumericalError):
 
 class MassDriftError(NumericalError):
     """Density mass drifted beyond the monitoring threshold."""
-
-    def __init__(self, message: str, drift: float):
-        super().__init__(message)
-        self.drift = drift

@@ -24,7 +24,7 @@ f_i against that line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "check_barrier_parameters",
     "overflow_error",
     "solve_gamma",
-    "solve_gamma_refined",
     "lipschitz_envelope",
     "refinement_bound",
     "velocity_envelope",
@@ -66,17 +65,12 @@ class GammaResult:
     """Output of the coupled barrier map.
 
     m[i] and x[i] are the regulator and reflected path of driver i against
-    the returned barrier; eps_used is the lattice width of the velocity
-    updates.  refine_gap and tol_reached are populated by
-    `solve_gamma_refined`.
+    the returned barrier.
     """
 
     barrier: BarrierTrajectory
     m: PathBundle
     x: PathBundle
-    eps_used: float
-    refine_gap: float | None = None
-    tol_reached: bool = True
 
 
 class BarrierRecursion:
@@ -145,15 +139,6 @@ def overflow_error(source: str) -> InvalidInputError:
     return InvalidInputError(f"barrier values must be finite: {source} overflows float64")
 
 
-def _validate_drivers(f: PathBundle | Sequence[SampledPath]) -> PathBundle:
-    if len(f) == 0:
-        raise InvalidInputError("need at least one driver path")
-    drivers = PathBundle.of(f)
-    if np.any(drivers.values[:, 0] < 0.0):
-        raise InvalidInputError("drivers must start at or above the barrier: f_i(0) >= 0")
-    return drivers
-
-
 def solve_gamma(
     f: PathBundle | Sequence[SampledPath],
     v0: float,
@@ -178,7 +163,11 @@ def solve_gamma(
         grid step.  Defaults to the grid step itself (the finest choice).
     """
     check_barrier_parameters(K, v0)
-    drivers = _validate_drivers(f)
+    if len(f) == 0:
+        raise InvalidInputError("need at least one driver path")
+    drivers = PathBundle.of(f)
+    if np.any(drivers.values[:, 0] < 0.0):
+        raise InvalidInputError("drivers must start at or above the barrier: f_i(0) >= 0")
     t0, dt = drivers.t0, drivers.dt
     n, nsteps = len(drivers), drivers.n_steps
 
@@ -187,7 +176,6 @@ def solve_gamma(
     stride = round(eps / dt)
     if stride < 1 or abs(eps / dt - stride) > 1e-9 * stride:
         raise InvalidInputError(f"eps={eps} must be a positive integer multiple of dt={dt}")
-    eps = stride * dt
 
     # Time-major layout keeps the per-step row operations contiguous.  The
     # copy is ours: the recursion overwrites it with the regulators.
@@ -196,40 +184,16 @@ def solve_gamma(
     recursion.run(m)
     return GammaResult(
         barrier=recursion.barrier(t0), m=PathBundle(t0, dt, m.T),
-        x=PathBundle(t0, dt, drivers.values + m.T), eps_used=eps,
+        x=PathBundle(t0, dt, drivers.values + m.T),
     )
 
 
-def solve_gamma_refined(
-    f: PathBundle | Sequence[SampledPath],
-    v0: float,
-    K: float,
-    tol: float = 1e-3,
-) -> GammaResult:
-    """Refine the lattice width until the barrier stops moving.
-
-    Runs `solve_gamma` at eps = dt*2^j for decreasing j and stops once the
-    sup-distance between consecutive barriers is <= tol, returning the finer
-    of the two.  If even eps = dt leaves a gap above tol the finest result
-    is returned with tol_reached = False.
-    """
-    if not (tol > 0):
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    f = _validate_drivers(f)
-    dt, nsteps = f.dt, f.n_steps
-    j = int(math.floor(math.log2(nsteps)))  # coarsest level: eps covers the horizon
-
-    prev = solve_gamma(f, v0, K, eps=dt * 2**j)
-    gap = None
-    while j > 0:
-        j -= 1
-        cur = solve_gamma(f, v0, K, eps=dt * 2**j)
-        gap = float(np.max(np.abs(cur.barrier.y.values - prev.barrier.y.values)))
-        if gap <= tol:
-            return replace(cur, refine_gap=gap, tol_reached=True)
-        prev = cur
-    # eps is down to dt and the last gap (if any) still exceeds tol.
-    return replace(prev, refine_gap=gap, tol_reached=False)
+def _times_growth(c: float, K: float, T: float) -> float:
+    """c * exp(K*T) for c >= 0: inf when that overflows and c > 0, 0 when c is 0."""
+    try:
+        return c * math.exp(K * T) if c else 0.0
+    except OverflowError:  # K*T beyond log(float max), about 709.78
+        return math.inf
 
 
 def lipschitz_envelope(eta: float, n: int, K: float, T: float) -> tuple[float, float]:
@@ -248,7 +212,7 @@ def lipschitz_envelope(eta: float, n: int, K: float, T: float) -> tuple[float, f
             f"need n >= 1, finite K >= 0, eta >= 0, T > 0, got n = {n}, K = {K}, "
             f"eta = {eta}, T = {T}"
         )
-    base = K * eta / n * math.exp(K * T)
+    base = _times_growth(K * eta / n, K, T)
     return base, base * T
 
 
@@ -268,11 +232,7 @@ def refinement_bound(norm_f_sum: float, n: int, K: float, T: float, eps: float) 
             f"need n >= 1, finite K >= 0, norm_f_sum >= 0, T > 0, eps > 0, got n = {n}, "
             f"K = {K}, norm_f_sum = {norm_f_sum}, T = {T}, eps = {eps}"
         )
-    try:
-        growth = math.exp(K * T)
-    except OverflowError:  # K*T beyond log(float max), about 709.78
-        growth = math.inf
-    return (2.0 + K) * norm_f_sum / n * eps * growth
+    return _times_growth((2.0 + K) * norm_f_sum / n * eps, K, T)
 
 
 def velocity_envelope(barrier: BarrierTrajectory, m, x) -> tuple[float, float]:

@@ -31,6 +31,8 @@ __all__ = [
     "HydroRow",
     "ChaosRow",
     "RateRow",
+    "RATE_LEVELS",
+    "SELFTEST_CONFIGS",
     "replicate_seed",
     "hydro_convergence",
     "chaos_test",
@@ -38,6 +40,9 @@ __all__ = [
     "fitted_decay_rate",
     "invariant_sweep",
 ]
+
+RATE_LEVELS = range(4, 13)  # the lattice levels of `gamma_rate_study`: widths T*2^-4..T*2^-12
+SELFTEST_CONFIGS = 50  # the random configurations `invariant_sweep` simulates
 
 
 def replicate_seed(seed, rep: int) -> int:
@@ -105,7 +110,7 @@ def hydro_convergence(
         gap = np.empty(reps)
         for r in range(reps):
             traj = simulate(replace(base, n=n, seed=replicate_seed(base.seed, r)), keep=0)
-            w1[r] = wp_vs_density(snapshot(traj, base.T), density_T, p=1)
+            w1[r] = wp_vs_density(snapshot(traj, base.T), density_T)
             gap[r] = float(np.max(np.abs(traj.barrier.y.values - y_lim)))
         rows.append(
             HydroRow(
@@ -167,33 +172,29 @@ def gamma_rate_study(
     v0: float = 0.0,
     n: int = 8,
     T: float = 1.0,
-    levels=range(4, 13),
     seed=0,
 ) -> list[RateRow]:
     """Refinement gaps of the barrier map against the guaranteed bound.
 
-    For each level l the gap is the sup-distance between barriers computed
-    at lattice widths T*2^-l and T*2^-(l+1); the bound column is
-    `refinement_bound` at eps = T*2^-l.  The drivers are n Brownian paths
-    from 0 on the finest grid, drawn from `seed`.  The bound is proved only
-    for v0 <= 0, so a larger v0 is rejected.
+    For each level l of RATE_LEVELS the gap is the sup-distance between
+    barriers computed at lattice widths T*2^-l and T*2^-(l+1); the bound
+    column is `refinement_bound` at eps = T*2^-l.  The drivers are n
+    Brownian paths from 0 on the finest grid, drawn from `seed`.  The bound
+    is proved only for v0 <= 0, so a larger v0 is rejected.
     """
     if not v0 <= 0:
         raise InvalidInputError(f"the refinement bound holds only for v0 <= 0, got v0 = {v0}")
-    levels = sorted(int(l) for l in levels)
-    if not levels or levels[0] < 0:
-        raise InvalidInputError("levels must be nonnegative integers")
-    lmax = levels[-1] + 1
+    lmax = RATE_LEVELS[-1] + 1
     f = sample_brownian(n, T, T / 2**lmax, seed)
     norm_sum = sum(np.max(np.abs(f.values), axis=1).tolist())  # sup norms, in order
     nf = len(f)
 
     barriers = {}
-    for l in set(levels) | {l + 1 for l in levels}:
+    for l in range(RATE_LEVELS[0], lmax + 1):
         barriers[l] = solve_gamma(f, v0, K, eps=T / 2**l).barrier.y.values
 
     rows = []
-    for l in levels:
+    for l in RATE_LEVELS:
         gap = float(np.max(np.abs(barriers[l] - barriers[l + 1])))
         rows.append(
             RateRow(
@@ -264,20 +265,17 @@ def _random_config(rng: np.random.Generator, seed_val: int) -> SimConfig:
     return SimConfig(n=n, T=T, dt=dt, K=K, v0=v0, init=init, seed=seed_val)
 
 
-def invariant_sweep(num_configs: int = 50, seed=0) -> list[str]:
-    """Simulate random configs and collect structural invariant violations.
+def invariant_sweep(seed=0) -> list[str]:
+    """Simulate SELFTEST_CONFIGS random configs and collect invariant violations.
 
     Checks per run: nonincreasing velocity, concave barrier, particles
     above the barrier, nondecreasing regulators, and the velocity-excursion
-    envelope.  Returns a list of violation descriptions (empty = pass);
-    num_configs must be at least 1, so an empty list always means checked.
+    envelope.  Returns a list of violation descriptions (empty = pass).
     """
-    if num_configs < 1:
-        raise InvalidInputError(f"num_configs must be >= 1, got {num_configs}")
     seed = check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2**32)))
     violations = []
-    for c in range(num_configs):
+    for c in range(SELFTEST_CONFIGS):
         cfg = _random_config(rng, replicate_seed(seed, c))
         label = (
             f"config {c} (n={cfg.n}, T={cfg.T:.3g}, dt={cfg.dt:.3g}, K={cfg.K:.3g}, "

@@ -1,10 +1,9 @@
-"""One-dimensional Wasserstein distances.
+"""One-dimensional Wasserstein distance of order 1.
 
-For equal-size empirical measures the order-p distance is computed exactly
-by the sorted coupling.  Against a grid density it is evaluated through the
-quantile representation
+The distance between an empirical measure and a grid density is evaluated
+through the quantile representation
 
-    W_p^p = integral_0^1 |F_a^{-1}(u) - F_d^{-1}(u)|^p du,
+    W_1 = integral_0^1 |F_a^{-1}(u) - F_d^{-1}(u)| du,
 
 with the density's quantile function obtained by inverting its trapezoidal
 CDF linearly.  The u-integral uses midpoints of the n empirical quantile
@@ -107,33 +106,12 @@ class GridDensity:
         return np.where(u >= 1.0, x[-1], q)
 
 
-def _check_order(p: float) -> float:
-    if not (np.isfinite(p) and p >= 1):
-        raise InvalidInputError(f"order p must satisfy p >= 1, got {p}")
-    return float(p)
-
-
-def wp_empirical(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0) -> float:
-    """Exact order-p distance between equal-size empirical measures.
-
-    The sorted (monotone) coupling is optimal in one dimension, so this is
-
-        ((1/n) * sum_i |a_(i) - b_(i)|^p)^(1/p).
-    """
-    p = _check_order(p)
-    if a.size != b.size:
-        raise InvalidInputError(f"atom counts differ: {a.size} vs {b.size}")
-    diffs = np.abs(a.atoms - b.atoms)
-    return float(np.mean(diffs**p) ** (1.0 / p))
-
-
-def wp_vs_density(a: EmpiricalMeasure, d: GridDensity, p: float = 1.0) -> float:
-    """Order-p distance between an empirical measure and a grid density."""
-    p = _check_order(p)
+def wp_vs_density(a: EmpiricalMeasure, d: GridDensity) -> float:
+    """Order-1 distance between an empirical measure and a grid density."""
     n = a.size
     nsub = max(1, -(-_MIN_QUAD_POINTS // n))
     offs = (np.arange(nsub) + 0.5) / nsub
     u = ((np.arange(n)[:, None] + offs[None, :]) / n).ravel()
     q = d.quantiles(u)
     diffs = np.abs(np.repeat(a.atoms, nsub) - q)
-    return float(np.mean(diffs**p) ** (1.0 / p))
+    return float(np.mean(diffs))

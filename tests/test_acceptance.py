@@ -105,8 +105,7 @@ def test_criterion_2_contact_closed_form():
 
 def test_criterion_3_refinement_rate():
     t0 = time.perf_counter()
-    rows = gamma_rate_study(K=1.0, v0=0.0, n=8, T=1.0, levels=range(4, 13),
-                            seed=RATE_SEED)
+    rows = gamma_rate_study(K=1.0, v0=0.0, n=8, T=1.0, seed=RATE_SEED)
     under = all(r.gap <= r.bound for r in rows)
     fit = fitted_decay_rate(rows)
     _report(3, "refinement rate", under and 0.3 <= fit <= 0.7,
@@ -226,7 +225,7 @@ def test_criterion_10_pair_decorrelation():
 
 def test_criterion_11_structural_invariants():
     t0 = time.perf_counter()
-    violations = invariant_sweep(num_configs=50, seed=SWEEP_SEED)
+    violations = invariant_sweep(seed=SWEEP_SEED)
     _report(11, "structural invariants", violations == [],
             f"{len(violations)} violations over 50 random configs "
             "(V nonincreasing, Y concave, X_i >= Y, envelope)",

@@ -11,7 +11,6 @@ from inertbarrier.gamma import (
     lipschitz_envelope,
     refinement_bound,
     solve_gamma,
-    solve_gamma_refined,
     velocity_envelope,
 )
 from inertbarrier.meanfield import solve_limit_mc, solve_limit_pde
@@ -195,6 +194,9 @@ def test_lipschitz_envelope_values():
     vb, ib = lipschitz_envelope(1.0, 1, 1.0, 1.0)
     assert vb == pytest.approx(math.e)
     assert ib == pytest.approx(math.e)
+    # exp(K*T) overflows: inf, or 0 when the envelope is 0, never an OverflowError
+    assert lipschitz_envelope(1.0, 1, 1000.0, 1.0) == (math.inf, math.inf)
+    assert lipschitz_envelope(0.0, 1, 1000.0, 1.0) == (0.0, 0.0)
 
 
 def test_perturbation_bound_holds(rng):
@@ -212,41 +214,11 @@ def test_perturbation_bound_holds(rng):
         assert sup_distance(va, vb) <= vbound + 1e-12
 
 
-def test_refined_stops_when_gap_small(rng):
-    base = random_walk_path(rng, n_steps=256, dt=1.0 / 256, start=0.5)
-    res = solve_gamma_refined([base], v0=0.0, K=1.0, tol=1e-2)
-    assert res.tol_reached
-    assert res.refine_gap is not None and res.refine_gap <= 1e-2
-    assert res.eps_used >= 1.0 / 256
-
-
-def test_refined_contact_accuracy():
-    f = line_path(-1.0, dt=2**-12)
-    res = solve_gamma_refined([f], v0=0.0, K=1.0, tol=1e-4)
-    assert abs(res.barrier.y.values[-1] - contact_barrier(1.0)) < 2e-4
-
-
-def test_refined_no_feedback_converges_immediately(rng):
-    f = [random_walk_path(rng, n_steps=64, dt=1.0 / 64, start=0.5)]
-    res = solve_gamma_refined(f, v0=0.3, K=0.0, tol=1e-12)
-    assert res.tol_reached
-    assert res.refine_gap == 0.0
-
-
-def test_refined_flags_unreachable_tolerance():
-    # permanent contact: the barrier genuinely depends on eps, so the gap
-    # sequence stays strictly positive and 1e-16 is unreachable at this dt
-    f = line_path(-1.0, dt=1.0 / 32)
-    res = solve_gamma_refined([f], v0=0.0, K=1.0, tol=1e-16)
-    assert not res.tol_reached
-    assert res.refine_gap > 1e-16
-    assert res.eps_used == 1.0 / 32
-
-
 def test_refinement_bound_formula():
     # ((2+K) * norm / n) * eps * e^{KT} = 3 * (2/2) * 0.125 * e
     assert refinement_bound(2.0, 2, 1.0, 1.0, 0.125) == pytest.approx(0.375 * math.e)
     assert refinement_bound(2.0, 2, 1e308, 1.0, 0.125) == math.inf  # no OverflowError
+    assert refinement_bound(0.0, 1, 1000.0, 1.0, 0.1) == 0.0  # not 0 * inf = nan
 
 
 @pytest.mark.parametrize("bound, args", [

@@ -504,7 +504,7 @@ def test_omitted_keys_take_the_library_defaults(tmp_path, capsys, command):
 def test_selftest_violations_exit_three(capsys, monkeypatch):
     found = ["config 0 (...): barrier velocity increased",
              "config 4 (...): particle 2 crossed the barrier"]
-    monkeypatch.setattr("inertbarrier.cli.invariant_sweep", lambda num_configs, seed: found)
+    monkeypatch.setattr("inertbarrier.cli.invariant_sweep", lambda seed: found)
     assert run(["selftest", "--quiet"]) == 3
     assert capsys.readouterr().err.splitlines() == found + ["selftest: 2 violation(s)"]
 
@@ -518,7 +518,7 @@ def test_selftest_reports_a_velocity_that_rises(capsys, monkeypatch):
             self.v[-1] = self.v[-2] + 1.0
 
     monkeypatch.setattr(BarrierRecursion, "run", rising)
-    found = invariant_sweep(1, seed=0)
+    found = invariant_sweep(seed=0)
     assert any(line.endswith(": barrier velocity increased") for line in found)
     assert run(["selftest", "--quiet"]) == 3
     err = capsys.readouterr().err.splitlines()

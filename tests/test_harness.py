@@ -40,7 +40,7 @@ def test_seeds_must_be_integers_at_least_zero(seed):
     with pytest.raises(InvalidInputError, match="seed must be"):
         replicate_seed(seed, 0)
     with pytest.raises(InvalidInputError, match="seed must be"):
-        invariant_sweep(1, seed=seed)
+        invariant_sweep(seed=seed)
     with pytest.raises(InvalidInputError, match="seed must be"):
         small_config(seed=seed)
 
@@ -49,8 +49,8 @@ def test_seeds_must_be_integers_at_least_zero(seed):
 
 
 def test_rate_gaps_stay_under_bounds():
-    rows = gamma_rate_study(K=1.0, v0=0.0, n=2, T=1.0, levels=range(2, 7), seed=1)
-    assert [r.level for r in rows] == [2, 3, 4, 5, 6]
+    rows = gamma_rate_study(K=1.0, v0=0.0, n=2, T=1.0, seed=1)
+    assert [r.level for r in rows] == list(range(4, 13))
     for r in rows:
         assert r.eps == 1.0 / 2**r.level
         assert 0.0 <= r.gap <= r.bound
@@ -58,7 +58,7 @@ def test_rate_gaps_stay_under_bounds():
 
 def test_rate_no_feedback_gaps_vanish():
     # K = 0 freezes the velocity, so every lattice gives the same barrier
-    rows = gamma_rate_study(K=0.0, v0=-0.5, n=3, T=1.0, levels=range(2, 6), seed=4)
+    rows = gamma_rate_study(K=0.0, v0=-0.5, n=3, T=1.0, seed=4)
     assert all(r.gap == 0.0 for r in rows)
     with pytest.raises(InvalidInputError):
         fitted_decay_rate(rows)
@@ -82,13 +82,9 @@ def test_rate_contact_driver_first_order():
 
 
 def test_rate_study_validates_inputs():
-    with pytest.raises(InvalidInputError):
-        gamma_rate_study(levels=[])
-    with pytest.raises(InvalidInputError):
-        gamma_rate_study(levels=[-1, 2])
     # the bound is proved only for v0 <= 0
     with pytest.raises(InvalidInputError, match="only for v0 <= 0"):
-        gamma_rate_study(v0=0.5, levels=range(2, 4))
+        gamma_rate_study(v0=0.5)
 
 
 def test_fitted_decay_rate_geometric_mean():
@@ -173,15 +169,8 @@ def test_hydro_validates_inputs():
 
 
 def test_invariant_sweep_clean_on_small_batch():
-    assert invariant_sweep(6, seed=3) == []
+    assert invariant_sweep(seed=3) == []
 
 
 def test_invariant_sweep_deterministic():
-    assert invariant_sweep(4, seed=5) == invariant_sweep(4, seed=5)
-
-
-@pytest.mark.parametrize("num_configs", [0, -1])
-def test_invariant_sweep_needs_a_config(num_configs):
-    # an empty sweep would return [] and read as "no violations"
-    with pytest.raises(InvalidInputError, match="num_configs"):
-        invariant_sweep(num_configs)
+    assert invariant_sweep(seed=5) == invariant_sweep(seed=5)

@@ -251,9 +251,10 @@ def test_solve_banded_equals_scipy_bitwise(peclet, dx, frac, J, seed):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    """LAPACK is imported when a PDE solve starts, not with the package."""
+    """LAPACK and the thread pool load when a PDE solve or `simulate` starts, not on import."""
     src = os.path.dirname(os.path.dirname(meanfield.__file__))
-    code = "import sys, inertbarrier.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, inertbarrier.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'concurrent.futures'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
@@ -286,7 +287,7 @@ def test_fixed_barrier_matches_particle_histogram():
     field = density_fixed_barrier(g, init, T=T, dt_pde=1e-4, dx=1e-2)
     positions = uncoupled_positions(g, init, n=100_000, seed=6)
     d = field.density_at(T)
-    w1 = wp_vs_density(EmpiricalMeasure.from_samples(positions), d, p=1)
+    w1 = wp_vs_density(EmpiricalMeasure.from_samples(positions), d)
     assert w1 <= 0.02
     assert abs(field.mass_drift) <= 1e-4
 
