@@ -60,12 +60,19 @@ _INIT_KINDS = {
 }
 
 # The uncoupled evaluators draw as many whole paths as fit in this many values
-# (at least one) at a time.  `simulate` runs the horizon in time blocks of
-# about this many driver values (32 MB in each of its three block buffers), ...
+# (at least one) at a time.  `simulate` draws the horizon in time blocks of
+# about this many driver values (32 MB in each of its two draw buffers), ...
 _BLOCK_VALUES = 1 << 22
 # ... but never of fewer steps than this: each particle's draw call costs
 # about 1.2 us, which short blocks would repeat too often.
 _BLOCK_MIN_STEPS = 64
+# Within each draw block, `simulate` sums the drivers and runs the recursion
+# over runs of about this many values (4 MB), ...
+_RUN_VALUES = 1 << 19
+# ... but of no fewer steps than this: shorter runs read each row of the draw
+# buffer a few values at a time, and the pass that transposes them slows down
+# (2x for runs of one step against 16 at n = 1e6, on a 2-core Xeon VM).
+_RUN_MIN_STEPS = 16
 # `mean_regulator_uncoupled` sums the regulators this many particles at a time.
 # The value fixes the order of that sum; the draws do not depend on it.
 _UNCOUPLED_CHUNK = 2048
@@ -485,9 +492,10 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
     lattice (eps = dt).  The horizon is run in blocks of steps: each block
     draws the next steps of every particle's stream, and only the barrier,
     the kept paths and the final positions outlive it.  A helper thread
-    draws block k+1 while this thread runs the recursion over block k; the
-    values do not depend on that timing.  Memory is about 1 KB of generator
-    state per particle, three block buffers and the kept paths.
+    draws block k+1 while this thread runs the recursion over block k, a
+    short run of steps at a time; the values do not depend on that timing
+    or on the run length.  Memory is about 1 KB of generator state per
+    particle, two draw buffers, one run buffer and the kept paths.
 
     Parameters
     ----------
@@ -505,23 +513,23 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
         barrier trajectory.
     """
     n, nsteps, dt, seed = config.n, config.n_steps, config.dt, config.seed
-    if keep is None:
-        keep = n
-    if not (isinstance(keep, (int, np.integer)) and keep >= 0):
+    try:
+        count = n if keep is None else operator.index(keep)
+    except TypeError:
+        count = -1
+    if isinstance(keep, bool) or count < 0:  # keep=True reads as "every path", not as 1
         raise InvalidInputError(f"keep must be an integer >= 0, got {keep!r}")
-    keep = min(keep, n)
+    keep = min(count, n)
     xi = sample_initial(config.init, n, seed)
     recursion = BarrierRecursion(n, nsteps, dt, config.v0, config.K)
     block = min(nsteps, max(_BLOCK_MIN_STEPS, _BLOCK_VALUES // n))
+    sub = min(block, max(_RUN_MIN_STEPS, _RUN_VALUES // n))
     streams = list(particle_streams(seed, 0, n))
-    # Two draw buffers, one row per particle, and f on the block's steps, one
-    # row per step.  One allocation, so that it is mapped and given back whole.
-    buf = np.empty((3, n * (block + 1)))
-    draws = buf[:2].reshape(2, n, block + 1)
-    ft = buf[2].reshape(block + 1, n)
+    draws = np.empty((2, n, block + 1))  # one row per particle
+    run = np.empty((sub + 1, n))  # f on a run's steps, one row per step
     x_kept = np.empty((keep, nsteps + 1))
     m_kept = np.empty((keep, nsteps + 1))
-    b_start = np.zeros(n)  # B_i at the block's first step
+    b_start = np.zeros(n)  # B_i at the run's first step
 
     def draw(k0):  # the normals of the block from step k0, into alternate buffers
         b = min(block, nsteps - k0)
@@ -539,17 +547,20 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
             w = pending.result() if k0 else draw(0)
             if k0 + block < nsteps:
                 pending = helper.submit(draw, k0 + block)
-            b = w.shape[1] - 1
-            f = ft[: b + 1]
-            f[0] = b_start
-            np.multiply(w[:, 1:].T, np.sqrt(dt), out=f[1:])
-            np.add.accumulate(f, axis=0, out=f)
-            b_start = f[b].copy()
-            f += xi
-            x_kept[:, k0 : k0 + b + 1] = f[:, :keep].T
-            recursion.run(f)  # the regulators overwrite the drivers
-            x_kept[:, k0 : k0 + b + 1] += f[:, :keep].T
-            m_kept[:, k0 : k0 + b + 1] = f[:, :keep].T
+            steps = w.shape[1] - 1
+            for j0 in range(0, steps, sub):  # the run over steps k0+j0..k0+j0+b
+                b = min(sub, steps - j0)
+                f = run[: b + 1]
+                f[0] = b_start
+                np.multiply(w[:, j0 + 1 : j0 + b + 1].T, np.sqrt(dt), out=f[1:])
+                np.add.accumulate(f, axis=0, out=f)
+                b_start[:] = f[b]
+                f += xi
+                kept = slice(k0 + j0, k0 + j0 + b + 1)
+                x_kept[:, kept] = f[:, :keep].T
+                recursion.run(f)  # the regulators overwrite the drivers
+                x_kept[:, kept] += f[:, :keep].T
+                m_kept[:, kept] = f[:, :keep].T
     return ParticleSystemTrajectory(
         config=config,
         barrier=recursion.barrier(),

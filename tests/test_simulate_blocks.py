@@ -1,9 +1,10 @@
 """`simulate` run block by block equals one block over the whole horizon, bitwise.
 
 `simulate` draws the next steps of every particle's stream one time block at
-a time and runs the barrier recursion over each block.  The reference draws
-every driver at once with `sample_brownian`, adds the initial positions and
-runs `solve_gamma`, whose recursion covers the horizon in one block.
+a time and runs the barrier recursion over each block, a run of steps at a
+time.  The reference draws every driver at once with `sample_brownian`, adds
+the initial positions and runs `solve_gamma`, whose recursion covers the
+horizon in one block.
 A helper thread draws each next block while the recursion runs the current
 one; neither its timing nor a failure in the recursion changes a value.
 """
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,10 +62,14 @@ def inits(sample_file):
     )
 
 
-def run_with_block(cfg: SimConfig, steps: int, keep):
+def run_with_block(cfg: SimConfig, steps: int, keep, run: int | None = None):
+    """simulate(cfg) in draw blocks of `steps` steps and, when given, runs of `run`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(particles, "_BLOCK_VALUES", 0)
         mp.setattr(particles, "_BLOCK_MIN_STEPS", steps)
+        if run is not None:
+            mp.setattr(particles, "_RUN_VALUES", 0)
+            mp.setattr(particles, "_RUN_MIN_STEPS", run)
         return simulate(cfg) if keep is None else simulate(cfg, keep=keep)
 
 
@@ -75,6 +81,7 @@ def bits(a) -> bytes:
 @given(
     data=st.data(),
     block=st.sampled_from([1, 2, 3, 7]),
+    run=st.integers(1, 9),  # runs that divide a block, that do not, and longer ones
     n=st.integers(1, 12),
     nsteps=st.integers(1, 40),
     K=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
@@ -83,11 +90,11 @@ def bits(a) -> bytes:
     seed=st.integers(0, 2**32),
 )
 def test_blocks_equal_one_full_horizon_block(
-    sample_file, data, block, n, nsteps, K, v0, keep, seed
+    sample_file, data, block, run, n, nsteps, K, v0, keep, seed
 ):
     init = data.draw(inits(sample_file))
     cfg = SimConfig(n=n, T=nsteps / 64, dt=1 / 64, K=K, v0=v0, init=init, seed=seed)
-    traj = run_with_block(cfg, block, keep)
+    traj = run_with_block(cfg, block, keep, run)
     ref = reference(cfg)
     kept = n if keep is None else min(keep, n)
     assert bits(traj.barrier.y.values) == bits(ref.barrier.y.values)
@@ -135,8 +142,12 @@ def test_recursion_blocks_carry_the_lattice_velocity(n, nsteps, stride, cuts, K,
     assert bits(m.T) == bits(ref.m.values)
 
 
-@pytest.mark.parametrize("steps, blocks", [(40, 1), (20, 2), (3, 14)])
-def test_a_slow_helper_draws_the_same_values(monkeypatch, steps, blocks):
+@pytest.mark.parametrize("steps, blocks, run", [
+    # run None: every run is a whole draw block
+    pytest.param(40, 1, None, id="40-1"), pytest.param(20, 2, None, id="20-2"),
+    pytest.param(3, 14, None, id="3-14"), (40, 1, 7), (20, 2, 3), (20, 2, 50), (3, 14, 2),
+])
+def test_a_slow_helper_draws_the_same_values(monkeypatch, steps, blocks, run):
     cfg = SimConfig(n=7, T=40 / 64, dt=1 / 64, K=1.0, v0=0.5,
                     init=InitialDistribution.half_normal(1.0), seed=5)
     ref = reference(cfg)
@@ -149,7 +160,7 @@ def test_a_slow_helper_draws_the_same_values(monkeypatch, steps, blocks):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(particles, "_brownian_chunk", slow)
-    traj = run_with_block(cfg, steps, keep=3)
+    traj = run_with_block(cfg, steps, keep=3, run=run)
     # block 0 is drawn by the caller, every later block by the helper
     assert len(threads) == blocks and threads[0] is threading.main_thread()
     assert threading.main_thread() not in threads[1:]
@@ -190,6 +201,52 @@ def test_a_failing_block_joins_the_helper_and_leaves_no_state():
     assert namespace["digest"] == fresh.stdout.strip()
 
 
+def test_the_run_buffer_replaces_a_third_block_buffer(monkeypatch):
+    # 256 particles in draw blocks of 256 steps and runs of 16: three blocks
+    monkeypatch.setattr(particles, "_BLOCK_VALUES", 1 << 16)
+    monkeypatch.setattr(particles, "_RUN_VALUES", 1 << 12)
+    cfg = SimConfig(n=256, T=3.0, dt=1 / 256, K=1.0, v0=0.0,
+                    init=InitialDistribution.half_normal(1.0), seed=3)
+    draw_buffer = 256 * 257 * 8
+    simulate(cfg, keep=0)  # the first call pays for imports and caches
+    tracemalloc.start()
+    try:
+        simulate(cfg, keep=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * draw_buffer
+
+
+SWITCH_SHAPES = [  # n, steps, draw block, run
+    (5, 50, 7, 3), (9, 41, 6, 4), (3, 64, 10, 1), (12, 30, 4, 3), (2, 33, 16, 5),
+]
+
+
+def test_fast_thread_switches_change_no_value():
+    # The interpreter switches threads every microsecond, so the helper's draws
+    # and the calling thread's runs interleave as finely as they can.
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 5.0
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            for n, nsteps, block, run in SWITCH_SHAPES:
+                cfg = SimConfig(n=n, T=nsteps / 64, dt=1 / 64, K=1.5, v0=0.3,
+                                init=InitialDistribution.exponential(2.0), seed=seed)
+                traj = run_with_block(cfg, block, keep=n - 1, run=run)
+                ref = reference(cfg)
+                assert bits(traj.barrier.y.values) == bits(ref.barrier.y.values)
+                assert bits(traj.barrier.v.values) == bits(ref.barrier.v.values)
+                assert bits(traj.particles.values) == bits(ref.x.values[: n - 1])
+                assert bits(traj.m.values) == bits(ref.m.values[: n - 1])
+                assert bits(traj.final) == bits(ref.x.values[:, -1])
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_a_partly_kept_trajectory_refuses_what_needs_every_path():
     cfg = SimConfig(n=6, T=0.25, dt=1 / 64, K=1.0, v0=0.0,
                     init=InitialDistribution.half_normal(1.0), seed=4)
@@ -204,8 +261,9 @@ def test_a_partly_kept_trajectory_refuses_what_needs_every_path():
     with pytest.raises(InvalidInputError, match="all 6 particle paths"):
         _check_trajectory(part, "partial")
     assert _check_trajectory(full, "full") == []
-    with pytest.raises(InvalidInputError, match="keep"):
-        simulate(cfg, keep=-1)
+    for keep in (-1, True, 2.0, "2"):
+        with pytest.raises(InvalidInputError, match="keep must be an integer"):
+            simulate(cfg, keep=keep)
 
 
 def test_non_finite_initial_positions_are_rejected():
