@@ -34,7 +34,7 @@ from .io import (
     write_trajectory,
 )
 from .meanfield import consistency_check, density_fixed_barrier, solve_limit_mc, solve_limit_pde
-from .particles import SimConfig, simulate, snapshot
+from .particles import SimConfig, check_int, simulate, snapshot
 from .paths import SampledPath, uniform_grid
 
 __all__ = ["run", "main"]
@@ -47,10 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+    try:
+        return check_int(int(text), "seed")
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:

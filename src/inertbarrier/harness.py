@@ -20,7 +20,7 @@ from .meanfield import solve_limit_pde
 from .particles import (
     InitialDistribution,
     SimConfig,
-    check_seed,
+    check_int,
     sample_brownian,
     simulate,
     snapshot,
@@ -47,7 +47,7 @@ SELFTEST_CONFIGS = 50  # the random configurations `invariant_sweep` simulates
 
 def replicate_seed(seed, rep: int) -> int:
     """Deterministic 64-bit seed for replicate rep of a study."""
-    seed = check_seed(seed)
+    seed = check_int(seed, "seed")
     return int(np.random.SeedSequence(entropy=(seed, rep)).generate_state(1, np.uint64)[0])
 
 
@@ -90,13 +90,12 @@ def hydro_convergence(
     runs on `replicate_seed(base.seed, r)`.  The limit is solved once with
     `solve_limit_pde` on space step dx and time step dt_pde (dx^2 when None).
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [check_int(n, "n_list entry", 1) for n in n_list]
     if not n_list:
         raise InvalidInputError("n_list must name at least one system size")
     if any(b > a for a, b in zip(n_list[1:], n_list)):
         raise InvalidInputError("n_list must be ascending")
-    if reps < 2:
-        raise InvalidInputError("need reps >= 2 for spread estimates")
+    reps = check_int(reps, "reps", 2)  # two replicates at least, for a spread
     if dt_pde is None:
         dt_pde = dx * dx
     limit = solve_limit_pde(base.init, base.v0, base.K, base.T, dt_pde, dx)
@@ -123,9 +122,9 @@ def hydro_convergence(
 
 def chaos_test(
     base: SimConfig,
+    n_list,
+    reps: int,
     pair: tuple[int, int] = (1, 2),
-    n_list=(100, 1000, 10000),
-    reps: int = 200,
 ) -> list[ChaosRow]:
     """Decorrelation of a tagged particle pair as n grows.
 
@@ -135,17 +134,16 @@ def chaos_test(
     rows expose pure system-size effects; replicate r refreshes all streams
     from `replicate_seed(base.seed, r)`.
     """
-    pair = tuple(int(p) for p in pair)
+    pair = tuple(check_int(p, "pair label", 1) for p in pair)
     if len(pair) != 2:
         raise InvalidInputError(f"pair must name two particle labels, got {pair}")
     i, j = pair
-    n_list = [int(n) for n in n_list]
+    n_list = [check_int(n, "n_list entry", 1) for n in n_list]
     if not n_list:
         raise InvalidInputError("n_list must name at least one system size")
-    if not (1 <= i < j <= min(n_list)):
+    if not (i < j <= min(n_list)):
         raise InvalidInputError(f"pair {pair} must satisfy 1 <= i < j <= min(n_list)")
-    if reps < 3:
-        raise InvalidInputError("need reps >= 3")
+    reps = check_int(reps, "reps", 3)
 
     rep_seeds = [replicate_seed(base.seed, r) for r in range(reps)]
     rows = []
@@ -272,7 +270,7 @@ def invariant_sweep(seed=0) -> list[str]:
     above the barrier, nondecreasing regulators, and the velocity-excursion
     envelope.  Returns a list of violation descriptions (empty = pass).
     """
-    seed = check_seed(seed)
+    seed = check_int(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2**32)))
     violations = []
     for c in range(SELFTEST_CONFIGS):

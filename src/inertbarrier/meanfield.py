@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, MassDriftError, NumericalError
 from .gamma import check_barrier_parameters, overflow_error
-from .particles import DriverCheckpoints, InitialDistribution
+from .particles import DriverCheckpoints, InitialDistribution, check_int
 from .paths import MAX_SAMPLES, SampledPath, uniform_grid
 from .wasserstein import GridDensity
 
@@ -249,10 +249,10 @@ def solve_limit_mc(
         the Picard updates and residual is the sup-change of the last one.
     """
     check_barrier_parameters(K, v0)
-    if M < 1:
-        raise InvalidInputError("M must be >= 1")
-    if not (tol > 0) or max_iter < 1:
-        raise InvalidInputError("need tol > 0 and max_iter >= 1")
+    check_int(M, "M", 1)
+    check_int(max_iter, "max_iter", 1)
+    if not tol > 0:
+        raise InvalidInputError(f"tol must be > 0, got {tol!r}")
     nsteps = uniform_grid(T, dt)
     times = dt * np.arange(nsteps + 1)
 
@@ -422,8 +422,9 @@ class _FrameStepper:
                 f"dt_pde must satisfy 0 < dt_pde <= dx^2 = {dx*dx:.3e}, got {dt_pde}"
             )
         self.nsteps = uniform_grid(T, dt_pde)
+        extent = init.upper_extent()  # rejects a law with no density before the grid is sized
         if x_max is None:
-            x_max = init.upper_extent() + 6.0 * math.sqrt(T) + barrier_span
+            x_max = extent + 6.0 * math.sqrt(T) + barrier_span
         if not (x_max > dx and float(x_max) / dx < MAX_SAMPLES):
             raise InvalidInputError(f"x_max must exceed dx and give fewer than "
                                     f"{MAX_SAMPLES:.3g} nodes, got x_max = {x_max:.6g}")

@@ -33,7 +33,7 @@ from .wasserstein import EmpiricalMeasure
 __all__ = [
     "InitialDistribution",
     "SimConfig",
-    "check_seed",
+    "check_int",
     "particle_streams",
     "ParticleSystemTrajectory",
     "sample_brownian",
@@ -157,15 +157,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def check_seed(seed) -> int:
-    """seed as an int; InvalidInputError unless it is an integer >= 0."""
+def check_int(value, what: str, low: int = 0) -> int:
+    """value as an int; InvalidInputError naming `what` unless it is an integer >= low."""
     try:
-        seed = operator.index(seed)
+        if isinstance(value, bool):  # operator.index(True) is 1, but True is no count or seed
+            raise TypeError
+        count = operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return seed
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    if count < low:
+        raise InvalidInputError(f"{what} must be >= {low}, got {count}")
+    return count
 
 
 def particle_streams(seed, lo: int, hi: int, branch: int = _BROWNIAN_BRANCH):
@@ -177,7 +179,7 @@ def particle_streams(seed, lo: int, hi: int, branch: int = _BROWNIAN_BRANCH):
     uint32 array operations over up to `_STREAM_CHUNK` indices at a time.
     Raises InvalidInputError for a seed that is not an integer >= 0.
     """
-    seed = check_seed(seed)
+    seed = check_int(seed, "seed")
     if not 0 <= lo <= hi <= 1 << 64:
         raise InvalidInputError(f"need 0 <= lo <= hi <= 2**64, got lo = {lo}, hi = {hi}")
     return _hashed_streams(seed, lo, hi, branch)
@@ -275,8 +277,12 @@ class InitialDistribution:
         """Location of a delta law; None for every other kind."""
         return self.params[0] if self.kind == "delta" else None
 
+    def _no_density(self) -> InvalidInputError:
+        return InvalidInputError(f"init.kind {self.kind!r} has no density; the density "
+                                 "solvers accept a delta or a law with a density")
+
     def upper_extent(self) -> float:
-        """Finite bound on where the initial mass effectively ends."""
+        """Finite bound on where the initial mass ends; InvalidInputError for a sample file."""
         if self.kind == "delta":
             return self.params[0]
         if self.kind == "uniform":
@@ -285,7 +291,7 @@ class InitialDistribution:
             return -math.log(1e-9) / self.params[0]
         if self.kind == "half_normal":
             return 6.2 * self.params[0]
-        return float(np.max(self._file_values()))
+        raise self._no_density()
 
     def density_on_grid(self, x: np.ndarray) -> np.ndarray:
         """Density values at grid points; InvalidInputError when no density exists."""
@@ -298,10 +304,7 @@ class InitialDistribution:
         if self.kind == "half_normal":
             s = self.params[0]
             return np.sqrt(2.0 / np.pi) / s * np.exp(-(x**2) / (2 * s**2))
-        raise InvalidInputError(
-            f"init.kind {self.kind!r} has no density; the density solvers accept a delta "
-            "or a law with a density"
-        )
+        raise self._no_density()
 
 
 @dataclass(frozen=True)
@@ -317,11 +320,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InvalidInputError(f"n must be a positive integer, got {self.n!r}")
+        check_int(self.n, "n", 1)
         uniform_grid(self.T, self.dt)
         check_barrier_parameters(self.K, self.v0)
-        check_seed(self.seed)
+        check_int(self.seed, "seed")
 
     @property
     def n_steps(self) -> int:
@@ -409,16 +411,14 @@ def sample_brownian(n: int, T: float, dt: float, seed) -> PathBundle:
 
     Increments are N(0, dt); particle i's stream depends only on (seed, i).
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    check_int(n, "n", 1)
     nsteps = uniform_grid(T, dt)
     return PathBundle(0.0, dt, _paths(_brownian_chunk(seed, 0, n, nsteps), dt))
 
 
 def sample_initial(init: InitialDistribution, n: int, seed) -> np.ndarray:
     """n initial positions, one independent stream per particle; each must be finite."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    check_int(n, "n", 1)
     xi = _initial_chunk(init, seed, 0, n)
     if not np.all(np.isfinite(xi)):
         raise InvalidInputError("initial positions must be finite")
@@ -501,8 +501,9 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
     ----------
     config : SimConfig
     keep : int, optional
-        How many leading particles keep their full path and regulator; all
-        n by default.  A trajectory that keeps fewer has no snapshot before
+        How many leading particles keep their full path and regulator: all
+        n by default, and at most n.  An integer >= 0, not a bool, by
+        `check_int`.  A trajectory that keeps fewer has no snapshot before
         T and no velocity envelope.
 
     Returns
@@ -513,13 +514,7 @@ def simulate(config: SimConfig, keep: int | None = None) -> ParticleSystemTrajec
         barrier trajectory.
     """
     n, nsteps, dt, seed = config.n, config.n_steps, config.dt, config.seed
-    try:
-        count = n if keep is None else operator.index(keep)
-    except TypeError:
-        count = -1
-    if isinstance(keep, bool) or count < 0:  # keep=True reads as "every path", not as 1
-        raise InvalidInputError(f"keep must be an integer >= 0, got {keep!r}")
-    keep = min(count, n)
+    keep = n if keep is None else min(check_int(keep, "keep"), n)
     xi = sample_initial(config.init, n, seed)
     recursion = BarrierRecursion(n, nsteps, dt, config.v0, config.K)
     block = min(nsteps, max(_BLOCK_MIN_STEPS, _BLOCK_VALUES // n))

@@ -270,6 +270,24 @@ def test_pde_rejects_initial_kind_without_density(tmp_path):
         )
 
 
+@pytest.mark.parametrize("x_max", [None, 3.0])
+@pytest.mark.parametrize("solver", ["limit-pde", "density"])
+def test_a_law_without_density_is_refused_before_its_file_is_read(tmp_path, monkeypatch,
+                                                                  solver, x_max):
+    reads = []
+    file_values = InitialDistribution._file_values
+    monkeypatch.setattr(InitialDistribution, "_file_values",
+                        lambda self: reads.append(1) or file_values(self))
+    init = InitialDistribution.from_file(str(tmp_path / "missing.txt"))
+    with pytest.raises(InvalidInputError, match="has no density"):
+        if solver == "limit-pde":
+            solve_limit_pde(init, v0=0.0, K=1.0, T=0.5, dt_pde=1e-4, dx=1e-2, x_max=x_max)
+        else:
+            density_fixed_barrier(line(0.0, 0.5, 1e-4), init, T=0.5, dt_pde=1e-4, dx=1e-2,
+                                  x_max=x_max)
+    assert reads == []
+
+
 # --- prescribed barrier ----------------------------------------------------
 
 def test_fixed_barrier_zero_line_matches_kernel():

@@ -1,5 +1,6 @@
 """Sampling layer and the coupled n-particle simulation."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,10 +8,15 @@ import pytest
 
 from inertbarrier import particles
 from inertbarrier.errors import InvalidInputError
+from inertbarrier.harness import (
+    chaos_test, gamma_rate_study, hydro_convergence, invariant_sweep, replicate_seed
+)
+from inertbarrier.meanfield import solve_limit_mc
 from inertbarrier.particles import (
     InitialDistribution,
     SimConfig,
     mean_regulator_uncoupled,
+    particle_streams,
     sample_brownian,
     sample_initial,
     simulate,
@@ -151,6 +157,59 @@ def test_config_validation():
         config(K=-0.1)
     with pytest.raises(InvalidInputError):
         config(dt=2.0)
+
+
+# Every integer input: its name in the error, its least value and a call that
+# passes it.  Each call's other arguments are valid.
+DELTA0 = InitialDistribution.delta(0.0)
+INTEGER_INPUTS = {
+    "seed of particle_streams": ("seed", 0, lambda v: particle_streams(v, 0, 3)),
+    "seed of SimConfig": ("seed", 0, lambda v: config(seed=v)),
+    "seed of replicate_seed": ("seed", 0, lambda v: replicate_seed(v, 0)),
+    "seed of invariant_sweep": ("seed", 0, lambda v: invariant_sweep(seed=v)),
+    "n of SimConfig": ("n", 1, lambda v: config(n=v)),
+    "n of sample_brownian": ("n", 1, lambda v: sample_brownian(v, 1.0, 0.25, seed=0)),
+    "n of sample_initial": ("n", 1, lambda v: sample_initial(DELTA0, v, seed=0)),
+    "n of mean_regulator_uncoupled": ("n", 1, lambda v: mean_regulator_uncoupled(v, 1.0, 0.25, 0)),
+    "n of uncoupled_positions": ("n", 1, lambda v: uncoupled_positions(
+        SampledPath(0.0, 0.25, [0.0, -0.25]), DELTA0, v, seed=0)),
+    "n of gamma_rate_study": ("n", 1, lambda v: gamma_rate_study(n=v)),
+    "keep of simulate": ("keep", 0, lambda v: simulate(config(), keep=v)),
+    "M of solve_limit_mc": ("M", 1, lambda v: solve_limit_mc(
+        DELTA0, 0.0, 1.0, 0.25, 0.125, M=v, seed=0)),
+    "max_iter of solve_limit_mc": ("max_iter", 1, lambda v: solve_limit_mc(
+        DELTA0, 0.0, 1.0, 0.25, 0.125, M=4, seed=0, max_iter=v)),
+    "n_list entry of hydro_convergence": ("n_list entry", 1, lambda v: hydro_convergence(
+        config(), n_list=[v], reps=2)),
+    "reps of hydro_convergence": ("reps", 2, lambda v: hydro_convergence(
+        config(), n_list=[4], reps=v)),
+    "n_list entry of chaos_test": ("n_list entry", 1, lambda v: chaos_test(
+        config(), n_list=[v], reps=3)),
+    "reps of chaos_test": ("reps", 3, lambda v: chaos_test(config(), n_list=[4], reps=v)),
+    "pair label of chaos_test": ("pair label", 1, lambda v: chaos_test(
+        config(), n_list=[4], reps=3, pair=(v, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "str", "below"])
+@pytest.mark.parametrize("name", sorted(INTEGER_INPUTS))
+def test_every_integer_input_has_one_rule(name, kind):
+    what, low, call = INTEGER_INPUTS[name]
+    value = {"bool": True, "float": 2.5, "str": "2", "below": low - 1}[kind]
+    rule = "must be >= " if kind == "below" else "must be an integer, got "
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(what)} {rule}"):
+        call(value)
+
+
+def test_numpy_integers_pass_the_integer_rule():
+    seed = np.uint64(2**63 + 11)
+    assert replicate_seed(seed, 3) == replicate_seed(int(seed), 3)
+    got = simulate(config(n=np.int64(5), seed=seed), keep=np.int64(2))
+    want = simulate(config(n=5, seed=int(seed)), keep=2)
+    np.testing.assert_array_equal(got.final, want.final)
+    np.testing.assert_array_equal(got.particles.values, want.particles.values)
+    np.testing.assert_array_equal(sample_brownian(np.int64(5), 1.0, 0.25, seed).values,
+                                  sample_brownian(5, 1.0, 0.25, int(seed)).values)
 
 
 def test_uncoupled_barrier_moves_at_constant_speed():

@@ -261,7 +261,9 @@ def test_a_partly_kept_trajectory_refuses_what_needs_every_path():
     with pytest.raises(InvalidInputError, match="all 6 particle paths"):
         _check_trajectory(part, "partial")
     assert _check_trajectory(full, "full") == []
-    for keep in (-1, True, 2.0, "2"):
+    with pytest.raises(InvalidInputError, match="keep must be >= 0"):
+        simulate(cfg, keep=-1)
+    for keep in (True, 2.0, "2"):
         with pytest.raises(InvalidInputError, match="keep must be an integer"):
             simulate(cfg, keep=keep)
 
